@@ -1,5 +1,5 @@
 // Command benchjson measures the retained allocating metric engines against
-// the workspace kernels, plus the top-k engines over plain cursors and over
+// the workspace kernels, plus the top-k engines over in-memory list sources and over
 // the fallible-source stack (healthy, retrying, and degraded — including the
 // interval-certification engines NRA and CA, BENCH_PR10.json), and writes the
 // results as JSON, one record per benchmark with ns/op, bytes/op, and
@@ -189,11 +189,11 @@ func run(args []string, stdout io.Writer) error {
 	bench("sumdistance_kprof/workspace", func() error { _, err := aggregate.SumDistanceWith(ws, a, ens, metrics.KProfWS); return err })
 	bench("compareall/workspace", func() error { _, err := metrics.CompareAll(ens); return err })
 
-	// Top-k engine paths: the infallible cursor engine, the fallible-source
-	// engine on healthy sources (the abstraction overhead), and the fault
-	// paths (retry absorption, list death + rebuild). Sources are stateful,
-	// so each op builds its own stack; the cursor benchmark pays the same
-	// per-op setup implicitly inside MedRank.
+	// Top-k engine paths: the in-memory adapter MedRank (still named
+	// medrank/cursor, for continuity of the artifact series), the source
+	// entry point on healthy sources, and the fault paths (retry absorption,
+	// list death + rebuild). Sources are stateful, so each op builds its own
+	// stack; the adapter pays the same per-op setup inside MedRank.
 	const topkM, topkK = 5, 10
 	topkEns := randrank.CatalogEnsemble(rng, *n, topkM, 8, 1.0, 1.0).Rankings
 	newSources := func(planFor func(i int) *faults.Plan, retry bool) ([]faults.Source, *telemetry.AccessAccountant) {
@@ -269,7 +269,7 @@ func run(args []string, stdout io.Writer) error {
 	})
 	bench("ca/source", func() error {
 		srcs, acc := newSources(noPlan, false)
-		_, err := topk.CAOver(ctx, srcs, topkK, 10, acc)
+		_, err := topk.CAOver(ctx, srcs, topkK, topk.DefaultCostRatio, acc)
 		return err
 	})
 

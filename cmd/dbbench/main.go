@@ -53,6 +53,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/guard"
 	"repro/internal/randrank"
+	"repro/internal/ranking"
 	"repro/internal/service/debugserve"
 	"repro/internal/telemetry"
 	"repro/internal/topk"
@@ -72,12 +73,6 @@ type engineStats struct {
 	Random     int `json:"random"`
 	BucketIOs  int `json:"bucket_ios"`
 	MaxDepth   int `json:"max_depth"`
-	// OptimalityRatio is the legacy equal-weights ratio (total accesses over
-	// the sequential-only certificate). It is only sound — and only emitted —
-	// for engines that make no random accesses (MEDRANK, NRA); pricing TA's
-	// or CA's random accesses against a sequential-only bound was the bug
-	// this field's companion replaces.
-	OptimalityRatio float64 `json:"optimality_ratio,omitempty"`
 	// MiddlewareCost is the FLN cost cs·sequential + cr·random at
 	// (cs=1, cr=cost_ratio), and CostOptimalityRatio divides it by the
 	// cost-weighted certificate computed at the same weights.
@@ -87,16 +82,16 @@ type engineStats struct {
 
 // configStats is the JSON record emitted per configuration under -stats.
 type configStats struct {
-	N       int         `json:"n"`
-	M       int         `json:"m"`
-	Values  int         `json:"values"`
-	K       int         `json:"k"`
-	MedRank engineStats `json:"medrank"`
-	TA      engineStats `json:"ta"`
-	NRA     engineStats `json:"nra"`
-	CA      engineStats `json:"ca"`
-	FullScan    int `json:"full_scan"`
-	Certificate int `json:"certificate"`
+	N           int         `json:"n"`
+	M           int         `json:"m"`
+	Values      int         `json:"values"`
+	K           int         `json:"k"`
+	MedRank     engineStats `json:"medrank"`
+	TA          engineStats `json:"ta"`
+	NRA         engineStats `json:"nra"`
+	CA          engineStats `json:"ca"`
+	FullScan    int         `json:"full_scan"`
+	Certificate int         `json:"certificate"`
 	// CostRatio is the cR/cS weight of the sweep and CostCertificate the
 	// cost-weighted per-instance lower bound at (cs=1, cr=CostRatio),
 	// averaged over trials like Certificate.
@@ -131,7 +126,7 @@ func run(args []string, stdout io.Writer) error {
 	trials := fs.Int("trials", 3, "trials per configuration (averaged)")
 	seed := fs.Int64("seed", 1, "random seed")
 	stats := fs.Bool("stats", false, "emit access statistics as JSON (MEDRANK, TA, NRA, and CA on every configuration, cost-weighted optimality ratios, telemetry snapshot)")
-	costRatio := fs.Int("cost-ratio", 10, "cR/cS weight pricing random accesses in the -stats cost columns and scheduling CA")
+	costRatio := fs.Int("cost-ratio", topk.DefaultCostRatio, "cR/cS weight pricing random accesses in the -stats cost columns and scheduling CA")
 	trace := fs.Bool("trace", false, "record telemetry spans and append the trace event log to the JSON (implies -stats)")
 	chaos := fs.Bool("chaos", false, "run the fault-injection experiment (E15) instead of the access-cost sweep")
 	catalog := fs.String("catalog", "", "query a real CSV catalog instead of sweeping synthetic ones")
@@ -252,79 +247,46 @@ func run(args []string, stdout io.Writer) error {
 func sweepConfig(rng *rand.Rand, n, m, nv, k int, zipf, theta float64, trials int, withAll bool, costRatio int, timeout time.Duration) (configStats, error) {
 	cs := configStats{N: n, M: m, Values: nv, K: k, CostRatio: costRatio}
 	var elapsed time.Duration
-	var medRatio, nraRatio float64
-	costRatios := make(map[string]float64, 4)
-	deadlined := func(run func(context.Context) error) error {
-		ctx := context.Background()
-		if timeout > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, timeout)
-			defer cancel()
-		}
-		return run(ctx)
+	engines := []struct {
+		es   *engineStats
+		spec topk.Spec
+	}{
+		{&cs.MedRank, topk.Spec{Algo: topk.AlgoMedRank, K: k, Policy: topk.GlobalMergeBuckets}},
+		{&cs.TA, topk.Spec{Algo: topk.AlgoTA, K: k}},
+		{&cs.NRA, topk.Spec{Algo: topk.AlgoNRA, K: k}},
+		{&cs.CA, topk.Spec{Algo: topk.AlgoCA, K: k, CostRatio: costRatio}},
 	}
-	accumulate := func(es *engineStats, name string, st topk.AccessStats, costCert int) {
-		es.Sequential += st.Total
-		es.Random += st.Random
-		es.BucketIOs += st.TotalBucketProbes
-		if st.MaxDepth > es.MaxDepth {
-			es.MaxDepth = st.MaxDepth
-		}
-		es.MiddlewareCost += st.MiddlewareCost(1, costRatio)
-		costRatios[name] += st.CostOptimalityRatio(1, costRatio, costCert)
+	if costRatio == 0 {
+		engines[3].spec.Algo = topk.AlgoNRA // CA never resolves at ratio 0
+	}
+	if !withAll {
+		engines = engines[:1]
 	}
 	for trial := 0; trial < trials; trial++ {
 		ens := randrank.CatalogEnsemble(rng, n, m, nv, zipf, theta)
-		start := time.Now()
-		var res *topk.Result
-		err := deadlined(func(ctx context.Context) error {
-			var err error
-			res, err = topk.MedRankContext(ctx, ens.Rankings, k, topk.GlobalMergeBuckets)
-			return err
-		})
-		elapsed += time.Since(start)
-		if err != nil {
-			return cs, err
-		}
-		cert := topk.CertificateLowerBound(ens.Rankings, res.Winners)
-		costCert := topk.CertificateLowerBoundCost(ens.Rankings, res.Winners, 1, costRatio)
-		cs.Certificate += cert
-		cs.CostCertificate += costCert
-		medRatio += res.Stats.OptimalityRatio(cert)
-		accumulate(&cs.MedRank, "medrank", res.Stats, costCert)
-		cs.FullScan += topk.FullScanCost(ens.Rankings).Total
-		if withAll {
-			for _, eng := range []struct {
-				name string
-				es   *engineStats
-				run  func(context.Context) (*topk.Result, error)
-			}{
-				{"ta", &cs.TA, func(ctx context.Context) (*topk.Result, error) {
-					return topk.ThresholdTopKContext(ctx, ens.Rankings, k)
-				}},
-				{"nra", &cs.NRA, func(ctx context.Context) (*topk.Result, error) {
-					return topk.NRAContext(ctx, ens.Rankings, k)
-				}},
-				{"ca", &cs.CA, func(ctx context.Context) (*topk.Result, error) {
-					return topk.CAContext(ctx, ens.Rankings, k, costRatio)
-				}},
-			} {
-				var r *topk.Result
-				err := deadlined(func(ctx context.Context) error {
-					var err error
-					r, err = eng.run(ctx)
-					return err
-				})
-				if err != nil {
-					return cs, err
-				}
-				if eng.name == "nra" {
-					// NRA makes no random accesses, so the legacy
-					// sequential-only ratio is sound for it too.
-					nraRatio += r.Stats.OptimalityRatio(cert)
-				}
-				accumulate(eng.es, eng.name, r.Stats, costCert)
+		var costCert int
+		for i, eng := range engines {
+			start := time.Now()
+			res, err := runEngine(eng.spec, ens.Rankings, timeout)
+			if err != nil {
+				return cs, err
 			}
+			if i == 0 {
+				elapsed += time.Since(start)
+				// Every engine is priced against the certificate of
+				// MEDRANK's winners: all four return the same answer set.
+				costCert = topk.CertificateLowerBoundCost(ens.Rankings, res.Winners, 1, costRatio)
+				cs.Certificate += topk.CertificateLowerBoundCost(ens.Rankings, res.Winners, 1, 0)
+				cs.CostCertificate += costCert
+				cs.FullScan += topk.FullScanCost(ens.Rankings).Total
+			}
+			st, es := res.Stats, eng.es
+			es.Sequential += st.Total
+			es.Random += st.Random
+			es.BucketIOs += st.TotalBucketProbes
+			es.MaxDepth = max(es.MaxDepth, st.MaxDepth)
+			es.MiddlewareCost += st.MiddlewareCost(1, costRatio)
+			es.CostOptimalityRatio += st.CostOptimalityRatio(1, costRatio, costCert)
 		}
 	}
 	for _, es := range []*engineStats{&cs.MedRank, &cs.TA, &cs.NRA, &cs.CA} {
@@ -336,14 +298,27 @@ func sweepConfig(rng *rand.Rand, n, m, nv, k int, zipf, theta float64, trials in
 	cs.FullScan /= trials
 	cs.Certificate /= trials
 	cs.CostCertificate /= trials
-	cs.MedRank.OptimalityRatio = medRatio / float64(trials)
-	cs.NRA.OptimalityRatio = nraRatio / float64(trials)
-	cs.MedRank.CostOptimalityRatio = costRatios["medrank"] / float64(trials)
-	cs.TA.CostOptimalityRatio = costRatios["ta"] / float64(trials)
-	cs.NRA.CostOptimalityRatio = costRatios["nra"] / float64(trials)
-	cs.CA.CostOptimalityRatio = costRatios["ca"] / float64(trials)
+	for _, eng := range engines {
+		eng.es.CostOptimalityRatio /= float64(trials)
+	}
 	cs.ElapsedNs = int64(elapsed) / int64(trials)
 	return cs, nil
+}
+
+// runEngine runs one engine over in-memory rankings, under a per-run
+// deadline when timeout > 0.
+func runEngine(spec topk.Spec, rankings []*ranking.PartialRanking, timeout time.Duration) (*topk.Result, error) {
+	ctx := context.Background()
+	if timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, timeout)
+		defer cancel()
+	}
+	srcs, acc, err := topk.ListSources(rankings)
+	if err != nil {
+		return nil, err
+	}
+	return topk.Run(ctx, spec, srcs, acc)
 }
 
 // runCatalog loads a real CSV catalog through the hardened admission path and
@@ -409,7 +384,7 @@ func runCatalog(path, keyCol string, lenient bool, ks []int, stdout io.Writer) e
 			fmt.Fprintf(stdout, "  %d. %s (median position %g)\n", i+1, key, res.MedianPositions[i])
 		}
 		fmt.Fprintf(stdout, "  # probes: %d of %d (optimality ratio %.2f)\n",
-			res.Access.Total, res.FullScan.Total, res.OptimalityRatio)
+			res.Access.Total, res.FullScan.Total, res.CostOptimalityRatio)
 	}
 	return nil
 }

@@ -38,21 +38,17 @@ func TestRunStatsJSON(t *testing.T) {
 		if c.TA.Random <= 0 {
 			t.Errorf("k=%d: TA random accesses %d, want positive", c.K, c.TA.Random)
 		}
-		if c.MedRank.OptimalityRatio < 1 {
-			t.Errorf("k=%d: MEDRANK optimality ratio %v < 1", c.K, c.MedRank.OptimalityRatio)
+		// At cR = 0 MEDRANK's and NRA's cost is their sequential count, and
+		// the sequential certificate bounds it from below.
+		if c.Certificate <= 0 || c.MedRank.Sequential < c.Certificate || c.NRA.Sequential < c.Certificate {
+			t.Errorf("k=%d: certificate %d vs MEDRANK %d and NRA %d sequential accesses",
+				c.K, c.Certificate, c.MedRank.Sequential, c.NRA.Sequential)
 		}
 		if c.NRA.Sequential <= 0 || c.NRA.Random != 0 {
 			t.Errorf("k=%d: NRA profile %+v, want positive sequential and zero random", c.K, c.NRA)
 		}
 		if c.CA.Sequential <= 0 {
 			t.Errorf("k=%d: CA sequential accesses %d, want positive", c.K, c.CA.Sequential)
-		}
-		// The equal-weights ratio against a sequential-only bound is only
-		// sound for the no-random-access engines; the old report also priced
-		// TA with it, which is the bug this sweep no longer has.
-		if c.TA.OptimalityRatio != 0 || c.CA.OptimalityRatio != 0 {
-			t.Errorf("k=%d: legacy ratio emitted for a random-access engine: ta=%v ca=%v",
-				c.K, c.TA.OptimalityRatio, c.CA.OptimalityRatio)
 		}
 		if c.CostCertificate <= 0 || c.CostRatio != 10 {
 			t.Errorf("k=%d: cost certificate %d at ratio %d, want positive at 10", c.K, c.CostCertificate, c.CostRatio)
@@ -68,6 +64,10 @@ func TestRunStatsJSON(t *testing.T) {
 				}
 			}
 		}
+	}
+	// The equal-weights optimality_ratio is gone from every engine's record.
+	if strings.Contains(out.String(), `"optimality_ratio"`) {
+		t.Error("-stats still emits the equal-weights optimality_ratio")
 	}
 	if len(doc.Telemetry.Counters) == 0 {
 		t.Error("telemetry counter snapshot empty under -stats")

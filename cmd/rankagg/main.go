@@ -243,8 +243,8 @@ func cmdTopK(args []string, stdin io.Reader, stdout io.Writer) error {
 	fs := flag.NewFlagSet("topk", flag.ContinueOnError)
 	in := addInputFlags(fs)
 	k := fs.Int("k", 1, "number of winners")
-	algo := fs.String("algo", "medrank", "engine: medrank, ta, nra, or ca")
-	costRatio := fs.Int("cost-ratio", 0, "cR/cS weight for CA scheduling and cost reporting; 0 means the engine default (10 for ta/ca, 0 for medrank/nra)")
+	algoName := fs.String("algo", "medrank", "engine: medrank, ta, nra, or ca")
+	costRatio := fs.Int("cost-ratio", 0, fmt.Sprintf("cR/cS weight for CA scheduling and cost reporting; 0 means the engine default (%d for ta/ca, 0 for medrank/nra)", topk.DefaultCostRatio))
 	stats := fs.Bool("stats", false, "emit the run's access accounting as JSON instead of text")
 	timeout := fs.Duration("timeout", 0, "abort the run after this long; 0 means no deadline")
 	if err := fs.Parse(args); err != nil {
@@ -253,10 +253,12 @@ func cmdTopK(args []string, stdin io.Reader, stdout io.Writer) error {
 	if *costRatio < 0 {
 		return fmt.Errorf("-cost-ratio must be non-negative, got %d", *costRatio)
 	}
-	ratio := *costRatio
-	if ratio == 0 && (*algo == "ta" || *algo == "ca") {
-		ratio = 10
+	algo, err := topk.ParseAlgo(*algoName)
+	if err != nil {
+		return fmt.Errorf("-algo: %w", err)
 	}
+	spec := topk.Spec{Algo: algo, K: *k, CostRatio: *costRatio, Policy: topk.RoundRobin}
+	ratio := spec.EffectiveCostRatio()
 	rs, dom, err := in.read(stdin)
 	if err != nil {
 		return err
@@ -267,25 +269,17 @@ func cmdTopK(args []string, stdin io.Reader, stdout io.Writer) error {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	var res *topk.Result
-	switch *algo {
-	case "medrank":
-		res, err = topk.MedRankContext(ctx, rs, *k, topk.RoundRobin)
-	case "ta":
-		res, err = topk.ThresholdTopKContext(ctx, rs, *k)
-	case "nra":
-		res, err = topk.NRAContext(ctx, rs, *k)
-	case "ca":
-		res, err = topk.CAContext(ctx, rs, *k, ratio)
-	default:
-		return fmt.Errorf("unknown -algo %q (want medrank, ta, nra, or ca)", *algo)
+	srcs, acc, err := topk.ListSources(rs)
+	if err != nil {
+		return err
 	}
+	res, err := topk.Run(ctx, spec, srcs, acc)
 	if err != nil {
 		return err
 	}
 	full := topk.FullScanCost(rs)
 	if *stats {
-		cert := topk.CertificateLowerBound(rs, res.Winners)
+		cert := topk.CertificateLowerBoundCost(rs, res.Winners, 1, 0)
 		costCert := topk.CertificateLowerBoundCost(rs, res.Winners, 1, ratio)
 		winners := make([]string, len(res.Winners))
 		for i, w := range res.Winners {
@@ -299,12 +293,11 @@ func cmdTopK(args []string, stdin io.Reader, stdout io.Writer) error {
 			Access              topk.AccessStats `json:"access"`
 			FullScan            int              `json:"full_scan"`
 			Certificate         int              `json:"certificate"`
-			OptimalityRatio     float64          `json:"optimality_ratio"`
 			CostRatio           int              `json:"cost_ratio"`
 			MiddlewareCost      int              `json:"middleware_cost"`
 			CostCertificate     int              `json:"cost_certificate"`
 			CostOptimalityRatio float64          `json:"cost_optimality_ratio"`
-		}{*algo, winners, res.Stats, full.Total, cert, res.Stats.OptimalityRatio(cert),
+		}{string(algo), winners, res.Stats, full.Total, cert,
 			ratio, res.Stats.MiddlewareCost(1, ratio), costCert,
 			res.Stats.CostOptimalityRatio(1, ratio, costCert)})
 	}

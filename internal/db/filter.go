@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/ranking"
 	"repro/internal/telemetry"
-	"repro/internal/topk"
 )
 
 // The paper's database scenario lets the user "rank (and/or filter) the
@@ -199,19 +198,5 @@ func (t *Table) TopKWhereContext(ctx context.Context, q FilteredQuery) (*QueryRe
 		}
 		rankings = append(rankings, pr)
 	}
-	res, err := runMedRank(ctx, rankings, q.K)
-	if err != nil {
-		return nil, err
-	}
-	out := &QueryResult{
-		Access:      res.Stats,
-		FullScan:    fullScan(rankings),
-		Certificate: topk.CertificateLowerBound(rankings, res.Winners),
-	}
-	out.OptimalityRatio = res.Stats.OptimalityRatio(out.Certificate)
-	for i, w := range res.Winners {
-		out.Keys = append(out.Keys, t.rowKeys[subset[w]])
-		out.MedianPositions = append(out.MedianPositions, float64(res.Medians2[i])/2)
-	}
-	return out, nil
+	return t.runQuery(ctx, Query{K: q.K}, rankings, subset, nil)
 }

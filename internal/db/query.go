@@ -19,18 +19,17 @@ var (
 	tIndexScans       = telemetry.GetCounter("db.index_scans")
 )
 
-// Engine names accepted by Query.Algo.
+// Engine names accepted by Query.Algo (see topk.ParseAlgo).
 const (
-	AlgoMedRank = "medrank"
-	AlgoTA      = "ta"
-	AlgoNRA     = "nra"
-	AlgoCA      = "ca"
+	AlgoMedRank = string(topk.AlgoMedRank)
+	AlgoTA      = string(topk.AlgoTA)
+	AlgoNRA     = string(topk.AlgoNRA)
+	AlgoCA      = string(topk.AlgoCA)
 )
 
-// DefaultCostRatio is the random:sequential cost ratio assumed when a "ca"
-// query does not set one: random access an order of magnitude more expensive
-// than the next entry of an open scan, the classic middleware regime.
-const DefaultCostRatio = 10
+// DefaultCostRatio is the random:sequential cost ratio assumed when a "ta"
+// or "ca" query does not set one (topk.DefaultCostRatio).
+const DefaultCostRatio = topk.DefaultCostRatio
 
 // Query is a multi-criteria preference query: aggregate the index scans of
 // all preferences and return the best K records, optionally skipping the
@@ -55,17 +54,14 @@ type Query struct {
 	CostRatio int
 }
 
-// effectiveCostRatio resolves Query.CostRatio against the per-engine
-// defaults.
-func (q Query) effectiveCostRatio() int {
-	if q.CostRatio > 0 {
-		return q.CostRatio
+// spec resolves the query into the engine run that answers its best k
+// records; MEDRANK runs under the round-robin schedule of Section 6.
+func (q Query) spec(k int) (topk.Spec, error) {
+	algo, err := topk.ParseAlgo(q.Algo)
+	if err != nil {
+		return topk.Spec{}, fmt.Errorf("db: %w", err)
 	}
-	switch q.Algo {
-	case AlgoCA, AlgoTA:
-		return DefaultCostRatio
-	}
-	return 0
+	return topk.Spec{Algo: algo, K: k, CostRatio: q.CostRatio, Policy: topk.RoundRobin}, nil
 }
 
 // QueryResult is the answer to a top-k preference query.
@@ -82,15 +78,11 @@ type QueryResult struct {
 	// FullScan is the cost the naive algorithm would have paid.
 	FullScan topk.AccessStats
 	// Certificate is the per-instance lower bound on the sequential probes
-	// any correct algorithm must spend to certify these winners. On a
-	// degraded run it is computed over the surviving index scans — the
-	// instance that was actually solved.
+	// any correct algorithm must spend to certify these winners
+	// (topk.CertificateLowerBoundCost at (1, 0)). On a degraded run it is
+	// computed over the surviving index scans — the instance that was
+	// actually solved.
 	Certificate int
-	// OptimalityRatio is Access accesses (sequential plus random, equal
-	// weights) divided by Certificate. Kept for comparability with
-	// historical numbers; CostOptimalityRatio is the cost-model-consistent
-	// figure.
-	OptimalityRatio float64
 	// CostRatio is the random:sequential cost ratio the cost-weighted
 	// figures below were computed at (Query.CostRatio resolved against the
 	// per-engine defaults).
@@ -111,45 +103,43 @@ type QueryResult struct {
 	Degraded *topk.Degraded
 }
 
-// runMedRank and fullScan are shared by TopK and TopKWhere.
-func runMedRank(ctx context.Context, rankings []*ranking.PartialRanking, k int) (*topk.Result, error) {
-	return topk.MedRankContext(ctx, rankings, k, topk.RoundRobin)
-}
-
-// runEngine dispatches the query's engine over in-memory rankings.
-func runEngine(ctx context.Context, q Query, rankings []*ranking.PartialRanking, k int) (*topk.Result, error) {
-	switch q.Algo {
-	case "", AlgoMedRank:
-		return runMedRank(ctx, rankings, k)
-	case AlgoTA:
-		return topk.ThresholdTopKContext(ctx, rankings, k)
-	case AlgoNRA:
-		return topk.NRAContext(ctx, rankings, k)
-	case AlgoCA:
-		return topk.CAContext(ctx, rankings, k, q.effectiveCostRatio())
-	default:
-		return nil, fmt.Errorf("db: unknown algo %q (want medrank, ta, nra, or ca)", q.Algo)
+// runQuery runs the query's engine over in-memory rankings, each source
+// decorated by wrap when non-nil, and assembles the result; subset maps the
+// rankings' element IDs to table rows (nil: the identity).
+func (t *Table) runQuery(ctx context.Context, q Query, rankings []*ranking.PartialRanking, subset []int, wrap faults.Wrapper) (*QueryResult, error) {
+	spec, err := q.spec(q.K + q.Offset)
+	if err != nil {
+		return nil, err
 	}
-}
-
-// runEngineOver dispatches the query's engine over fallible sources.
-func runEngineOver(ctx context.Context, q Query, srcs []faults.Source, k int, acc *telemetry.AccessAccountant) (*topk.Result, error) {
-	switch q.Algo {
-	case "", AlgoMedRank:
-		return topk.MedRankOver(ctx, srcs, k, topk.RoundRobin, acc)
-	case AlgoTA:
-		return topk.ThresholdTopKOver(ctx, srcs, k, acc)
-	case AlgoNRA:
-		return topk.NRAOver(ctx, srcs, k, acc)
-	case AlgoCA:
-		return topk.CAOver(ctx, srcs, k, q.effectiveCostRatio(), acc)
-	default:
-		return nil, fmt.Errorf("db: unknown algo %q (want medrank, ta, nra, or ca)", q.Algo)
+	srcs, acc, err := topk.ListSources(rankings)
+	if err != nil {
+		return nil, err
 	}
-}
-
-func fullScan(rankings []*ranking.PartialRanking) topk.AccessStats {
-	return topk.FullScanCost(rankings)
+	if wrap != nil {
+		for i, s := range srcs {
+			srcs[i] = wrap(i, s)
+		}
+	}
+	res, err := topk.Run(ctx, spec, srcs, acc)
+	if err != nil {
+		return nil, err
+	}
+	if res.Degraded != nil {
+		// The instance actually solved is the surviving sub-instance; the
+		// certificate bound must refer to it, not the lost lists.
+		survivors := make([]*ranking.PartialRanking, 0, res.Degraded.Survivors)
+		lost := make(map[int]bool, len(res.Degraded.Lost))
+		for _, l := range res.Degraded.Lost {
+			lost[l] = true
+		}
+		for i, r := range rankings {
+			if !lost[i] {
+				survivors = append(survivors, r)
+			}
+		}
+		rankings = survivors
+	}
+	return t.buildResult(q, spec, rankings, res, subset), nil
 }
 
 // TopK answers a preference query with the streaming MEDRANK engine,
@@ -171,11 +161,7 @@ func (t *Table) TopKContext(ctx context.Context, q Query) (*QueryResult, error) 
 	if err != nil {
 		return nil, err
 	}
-	res, err := runEngine(ctx, q, rankings, q.K+q.Offset)
-	if err != nil {
-		return nil, err
-	}
-	return t.buildResult(q, rankings, res), nil
+	return t.runQuery(ctx, q, rankings, nil, nil)
 }
 
 // TopKResilient answers a preference query over fallible index scans: wrap
@@ -195,54 +181,29 @@ func (t *Table) TopKResilient(ctx context.Context, q Query, wrap faults.Wrapper)
 	if err != nil {
 		return nil, err
 	}
-	acc := telemetry.NewAccessAccountant(len(rankings))
-	srcs := make([]faults.Source, len(rankings))
-	for i, r := range rankings {
-		s := topk.NewListSource(r, acc, i)
-		if wrap != nil {
-			s = wrap(i, s)
-		}
-		srcs[i] = s
-	}
-	res, err := runEngineOver(ctx, q, srcs, q.K+q.Offset, acc)
-	if err != nil {
-		return nil, err
-	}
-	if res.Degraded != nil {
-		// The instance actually solved is the surviving sub-instance; the
-		// certificate bound must refer to it, not the lost lists.
-		survivors := make([]*ranking.PartialRanking, 0, res.Degraded.Survivors)
-		lost := make(map[int]bool, len(res.Degraded.Lost))
-		for _, l := range res.Degraded.Lost {
-			lost[l] = true
-		}
-		for i, r := range rankings {
-			if !lost[i] {
-				survivors = append(survivors, r)
-			}
-		}
-		rankings = survivors
-	}
-	return t.buildResult(q, rankings, res), nil
+	return t.runQuery(ctx, q, rankings, nil, wrap)
 }
 
 // buildResult assembles a QueryResult from a top-k engine run over the given
-// (possibly surviving-only) rankings.
-func (t *Table) buildResult(q Query, rankings []*ranking.PartialRanking, res *topk.Result) *QueryResult {
+// (possibly surviving-only) rankings; subset maps their element IDs to table
+// rows (nil: the identity).
+func (t *Table) buildResult(q Query, spec topk.Spec, rankings []*ranking.PartialRanking, res *topk.Result, subset []int) *QueryResult {
 	out := &QueryResult{
 		Access:      res.Stats,
-		FullScan:    fullScan(rankings),
-		Certificate: topk.CertificateLowerBound(rankings, res.Winners),
+		FullScan:    topk.FullScanCost(rankings),
+		Certificate: topk.CertificateLowerBoundCost(rankings, res.Winners, 1, 0),
 		Degraded:    res.Degraded,
-		CostRatio:   q.effectiveCostRatio(),
+		CostRatio:   spec.EffectiveCostRatio(),
 	}
-	out.OptimalityRatio = res.Stats.OptimalityRatio(out.Certificate)
 	out.MiddlewareCost = res.Stats.MiddlewareCost(1, out.CostRatio)
 	out.CostCertificate = topk.CertificateLowerBoundCost(rankings, res.Winners, 1, out.CostRatio)
 	out.CostOptimalityRatio = res.Stats.CostOptimalityRatio(1, out.CostRatio, out.CostCertificate)
 	for i, w := range res.Winners {
 		if i < q.Offset {
 			continue
+		}
+		if subset != nil {
+			w = subset[w]
 		}
 		out.Keys = append(out.Keys, t.rowKeys[w])
 		out.MedianPositions = append(out.MedianPositions, float64(res.Medians2[i])/2)

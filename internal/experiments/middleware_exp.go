@@ -8,13 +8,12 @@ import (
 	"repro/internal/faults"
 	"repro/internal/randrank"
 	"repro/internal/ranking"
-	"repro/internal/telemetry"
 	"repro/internal/topk"
 )
 
 // e17Engines enumerates the four engines of the FLN middleware family in the
 // order the E17 rows report them.
-var e17Engines = []string{"medrank", "ta", "nra", "ca"}
+var e17Engines = []topk.Algo{topk.AlgoMedRank, topk.AlgoTA, topk.AlgoNRA, topk.AlgoCA}
 
 // e17Instance draws one E17 workload: a few-valued tie-heavy catalog (6
 // distinct values per attribute, Zipf 1.0, concentration 1.5) — the database
@@ -31,45 +30,29 @@ func e17Instance(rng *rand.Rand, n, m int) []*ranking.PartialRanking {
 // plan is given) over injected sources, and returns the result. CA is
 // scheduled at the sweep's cost ratio; at ratio 0 that degenerates to NRA,
 // which is exactly the regime the row documents.
-func e17Run(engine string, in []*ranking.PartialRanking, k, ratio int, plan *faults.Plan, planSeed int64) (*topk.Result, error) {
-	ctx := context.Background()
-	if plan == nil {
-		switch engine {
-		case "medrank":
-			return topk.MedRankContext(ctx, in, k, topk.GlobalMerge)
-		case "ta":
-			return topk.ThresholdTopKContext(ctx, in, k)
-		case "nra":
-			return topk.NRAContext(ctx, in, k)
-		default:
-			return topk.CAContext(ctx, in, k, ratio)
+func e17Run(algo topk.Algo, in []*ranking.PartialRanking, k, ratio int, plan *faults.Plan, planSeed int64) (*topk.Result, error) {
+	spec := topk.Spec{Algo: algo, K: k, CostRatio: ratio, Policy: topk.GlobalMerge}
+	if algo == topk.AlgoCA && ratio == 0 {
+		spec.Algo = topk.AlgoNRA // CA never resolves at ratio 0
+	}
+	srcs, acc, err := topk.ListSources(in)
+	if err != nil {
+		return nil, err
+	}
+	if plan != nil {
+		spec.Policy = topk.RoundRobin
+		sl := &faults.FakeSleeper{}
+		for i, s := range srcs {
+			p := *plan
+			p.Seed = planSeed + int64(i)
+			p.Sleeper = sl
+			pol := faults.DefaultRetryPolicy()
+			pol.JitterSeed = planSeed
+			pol.Sleeper = sl
+			srcs[i] = faults.WithRetry(faults.Inject(s, p), pol, acc, i)
 		}
 	}
-	m := len(in)
-	acc := telemetry.NewAccessAccountant(m)
-	sl := &faults.FakeSleeper{}
-	srcs := make([]faults.Source, m)
-	for i, r := range in {
-		s := topk.NewListSource(r, acc, i)
-		p := *plan
-		p.Seed = planSeed + int64(i)
-		p.Sleeper = sl
-		s = faults.Inject(s, p)
-		pol := faults.DefaultRetryPolicy()
-		pol.JitterSeed = planSeed
-		pol.Sleeper = sl
-		srcs[i] = faults.WithRetry(s, pol, acc, i)
-	}
-	switch engine {
-	case "medrank":
-		return topk.MedRankOver(ctx, srcs, k, topk.RoundRobin, acc)
-	case "ta":
-		return topk.ThresholdTopKOver(ctx, srcs, k, acc)
-	case "nra":
-		return topk.NRAOver(ctx, srcs, k, acc)
-	default:
-		return topk.CAOver(ctx, srcs, k, ratio, acc)
-	}
+	return topk.Run(context.Background(), spec, srcs, acc)
 }
 
 // E17MiddlewareCost prices the four top-k engines under the FLN middleware

@@ -147,12 +147,12 @@ type AccessSummary struct {
 
 // TopKResponse is the answer to a TopKRequest.
 type TopKResponse struct {
-	Winners   []string       `json:"winners"`
-	Medians   []float64      `json:"medians"`
-	TopK      string         `json:"topk"`
-	Access    AccessSummary  `json:"access"`
-	Degraded  *topk.Degraded `json:"degraded,omitempty"`
-	Trim      *TrimSummary   `json:"trim,omitempty"`
+	Winners  []string       `json:"winners"`
+	Medians  []float64      `json:"medians"`
+	TopK     string         `json:"topk"`
+	Access   AccessSummary  `json:"access"`
+	Degraded *topk.Degraded `json:"degraded,omitempty"`
+	Trim     *TrimSummary   `json:"trim,omitempty"`
 	// Ladder annotates answers served under overload-ladder control (a
 	// deadline was in force or θ was requested): which rung answered, the
 	// approximation certificate, and — for stale answers — the age.
@@ -555,10 +555,9 @@ func (s *Service) handleTopK(_ http.ResponseWriter, r *http.Request) (any, *apiE
 	if req.K < 1 || req.K > c.dom.Size() {
 		return nil, fail(http.StatusBadRequest, "k=%d out of range [1,%d]", req.K, c.dom.Size())
 	}
-	switch req.Algo {
-	case "", "medrank", "ta", "nra", "ca":
-	default:
-		return nil, fail(http.StatusBadRequest, "unknown algo %q (want medrank, ta, nra, or ca)", req.Algo)
+	algo, err := topk.ParseAlgo(req.Algo)
+	if err != nil {
+		return nil, fail(http.StatusBadRequest, "%v", err)
 	}
 	if req.CostRatio < 0 {
 		return nil, fail(http.StatusBadRequest, "cost_ratio=%d must be non-negative", req.CostRatio)
@@ -577,7 +576,7 @@ func (s *Service) handleTopK(_ http.ResponseWriter, r *http.Request) (any, *apiE
 		if req.Resilient {
 			return nil, fail(http.StatusBadRequest, "theta is incompatible with resilient mode")
 		}
-		if req.Algo == "nra" {
+		if algo == topk.AlgoNRA {
 			// The θ-approximate engine earns its early stop with random
 			// accesses; honoring it would contradict the client's explicit
 			// no-random-access choice.
@@ -601,11 +600,8 @@ func (s *Service) handleTopK(_ http.ResponseWriter, r *http.Request) (any, *apiE
 	adm.End()
 	defer release()
 
-	algo := req.Algo
-	if algo == "" {
-		algo = "medrank"
-	}
-	ratio := effectiveCostRatio(algo, req.CostRatio)
+	spec := topk.Spec{Algo: algo, K: req.K, CostRatio: req.CostRatio, Policy: topk.GlobalMerge}
+	ratio := spec.EffectiveCostRatio()
 	start := time.Now()
 	meta := metaFrom(r.Context())
 
@@ -616,7 +612,7 @@ func (s *Service) handleTopK(_ http.ResponseWriter, r *http.Request) (any, *apiE
 	level, theta, ladderReason := LadderExact, 0.0, ""
 	ladderActive := false
 	deadline, hasDeadline := r.Context().Deadline()
-	skey := staleKey{tenant: t.name, catalog: r.PathValue("catalog"), algo: algo, k: req.K, ratio: ratio}
+	skey := staleKey{tenant: t.name, catalog: r.PathValue("catalog"), algo: string(algo), k: req.K, ratio: ratio}
 	if req.Theta != nil {
 		level, theta, ladderActive = LadderApprox, *req.Theta, true
 		ladderReason = "explicit theta"
@@ -647,7 +643,7 @@ func (s *Service) handleTopK(_ http.ResponseWriter, r *http.Request) (any, *apiE
 		level, theta = LadderApprox, s.cfg.ApproxTheta
 		ladderReason += "; no stale answer, attempting approx"
 	}
-	if algo == "nra" && level == LadderApprox {
+	if algo == topk.AlgoNRA && level == LadderApprox {
 		// The approx rung's engine uses random access, which an explicit
 		// "nra" forbids; serve exact instead and let the ladder say why.
 		level, theta = LadderExact, 0
@@ -682,23 +678,13 @@ func (s *Service) handleTopK(_ http.ResponseWriter, r *http.Request) (any, *apiE
 		s.mRobustTrim.With(t.name).Add(int64(len(dropped)))
 	}
 
-	var res *topk.Result
-	var err error
-	ectx, eng := telemetry.Start(r.Context(), "engine."+algo)
-	switch {
-	case req.Resilient:
-		res, err = s.runResilientTopK(r.WithContext(ectx), rankings, req, ratio)
-	case level == LadderApprox:
-		res, err = topk.ThresholdTopKApprox(ectx, rankings, req.K, theta)
-	case algo == "ta":
-		res, err = topk.ThresholdTopKContext(ectx, rankings, req.K)
-	case algo == "nra":
-		res, err = topk.NRAContext(ectx, rankings, req.K)
-	case algo == "ca":
-		res, err = topk.CAContext(ectx, rankings, req.K, ratio)
-	default:
-		res, err = topk.MedRankContext(ectx, rankings, req.K, topk.GlobalMerge)
+	if level == LadderApprox {
+		// The approximate rung is θ-approximate TA, whatever engine was
+		// asked for; the answer is still priced at the request's ratio.
+		spec.Algo, spec.Theta = topk.AlgoTA, theta
 	}
+	ectx, eng := telemetry.Start(r.Context(), "engine."+string(algo))
+	res, err := s.runTopK(ectx, rankings, req, spec)
 	if err != nil {
 		eng.End()
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
@@ -733,8 +719,8 @@ func (s *Service) handleTopK(_ http.ResponseWriter, r *http.Request) (any, *apiE
 		CostRatio:  ratio,
 	}
 	access.MiddlewareCost = res.Stats.MiddlewareCost(1, ratio)
-	s.mAlgo.With(t.name, algo).Inc()
-	s.mMwCost.With(t.name, algo).Add(int64(access.MiddlewareCost))
+	s.mAlgo.With(t.name, string(algo)).Inc()
+	s.mMwCost.With(t.name, string(algo)).Add(int64(access.MiddlewareCost))
 	spanAttrsFromAccess(&eng, access, res.Degraded != nil)
 	eng.End()
 	if res.Degraded != nil {
@@ -821,53 +807,29 @@ func ladderLevelCode(level string) int64 {
 	}
 }
 
-// effectiveCostRatio resolves a request's cR/cS weight the way internal/db
-// does: an explicit positive ratio wins; otherwise ta and ca default to
-// defaultCostRatio while medrank and nra run in the NRA regime (random access
-// priced out, ratio 0).
-func effectiveCostRatio(algo string, explicit int) int {
-	if explicit > 0 {
-		return explicit
+// runTopK runs the spec's engine over the given (possibly
+// reliability-trimmed) lists. A resilient request runs over fallible
+// sources with bounded retries, fault-injected per its chaos plan.
+func (s *Service) runTopK(ctx context.Context, rankings []*ranking.PartialRanking, req TopKRequest, spec topk.Spec) (*topk.Result, error) {
+	sources, acc, err := topk.ListSources(rankings)
+	if err != nil {
+		return nil, err
 	}
-	if algo == "ta" || algo == "ca" {
-		return defaultCostRatio
-	}
-	return 0
-}
-
-// defaultCostRatio mirrors db.DefaultCostRatio: random access is typically an
-// order of magnitude pricier than a sorted probe.
-const defaultCostRatio = 10
-
-// runResilientTopK runs the degraded-mode engines over fallible sources built
-// from the given (possibly reliability-trimmed) lists, optionally
-// fault-injected per the request's chaos plan. ratio is the effective cR/cS
-// weight (CA's random-access schedule).
-func (s *Service) runResilientTopK(r *http.Request, rankings []*ranking.PartialRanking, req TopKRequest, ratio int) (*topk.Result, error) {
-	acc := telemetry.NewAccessAccountant(len(rankings))
-	sources := make([]faults.Source, len(rankings))
-	for i, pr := range rankings {
-		var src faults.Source = topk.NewListSource(pr, acc, i)
-		if req.Chaos != nil {
-			src = faults.Inject(src, faults.Plan{
-				Seed:          req.Chaos.Seed + int64(i),
-				TransientRate: req.Chaos.TransientRate,
-				DeathRate:     req.Chaos.DeathRate,
-				DeathAfter:    req.Chaos.DeathAfter,
-				Latency:       time.Duration(req.Chaos.LatencyMs) * time.Millisecond,
-			})
+	if req.Resilient {
+		for i, src := range sources {
+			if req.Chaos != nil {
+				src = faults.Inject(src, faults.Plan{
+					Seed:          req.Chaos.Seed + int64(i),
+					TransientRate: req.Chaos.TransientRate,
+					DeathRate:     req.Chaos.DeathRate,
+					DeathAfter:    req.Chaos.DeathAfter,
+					Latency:       time.Duration(req.Chaos.LatencyMs) * time.Millisecond,
+				})
+			}
+			sources[i] = faults.WithRetry(src, faults.DefaultRetryPolicy(), acc, i)
 		}
-		sources[i] = faults.WithRetry(src, faults.DefaultRetryPolicy(), acc, i)
 	}
-	switch req.Algo {
-	case "ta":
-		return topk.ThresholdTopKOver(r.Context(), sources, req.K, acc)
-	case "nra":
-		return topk.NRAOver(r.Context(), sources, req.K, acc)
-	case "ca":
-		return topk.CAOver(r.Context(), sources, req.K, ratio, acc)
-	}
-	return topk.MedRankOver(r.Context(), sources, req.K, topk.GlobalMerge, acc)
+	return topk.Run(ctx, spec, sources, acc)
 }
 
 func (s *Service) handleAggregate(_ http.ResponseWriter, r *http.Request) (any, *apiError) {
@@ -1064,8 +1026,8 @@ func (s *Service) handleStats(_ http.ResponseWriter, _ *http.Request) (any, *api
 			EngineEwmaNs:  int64(s.adm.estimateNs()),
 		},
 		Endpoints: make(map[string]EndpointStats, len(s.endpoints)),
-		Telemetry:       telemetry.Default.Snapshot(),
-		Server:          s.reg.Snapshot(),
+		Telemetry: telemetry.Default.Snapshot(),
+		Server:    s.reg.Snapshot(),
 	}
 	for _, t := range tenants {
 		hits, misses := t.cacheHits.Load(), t.cacheMisses.Load()

@@ -47,53 +47,57 @@ func TestForcedSamplingYieldsSpanTree(t *testing.T) {
 	_, ts := testServer(t, Config{})
 	putCatalog(t, ts, "acme", "movies", corpus, "")
 
-	resp, body := doReqH(t, http.MethodPost,
-		ts.URL+"/v1/tenants/acme/catalogs/movies/topk",
-		`{"k": 2}`, map[string]string{TraceSampleHeader: "1"})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("topk = %d: %s", resp.StatusCode, body)
-	}
-	traceID := resp.Header.Get(TraceIDHeader)
-	if len(traceID) != 16 {
-		t.Fatalf("response %s header = %q, want 16 hex digits", TraceIDHeader, traceID)
-	}
-	if resp.Header.Get(TraceSampledNote) != "1" {
-		t.Errorf("forced sampling did not set %s", TraceSampledNote)
-	}
+	// A plain and a resilient request: both engine paths run the one MEDRANK
+	// engine, whose span nests under the engine span.
+	for _, reqBody := range []string{`{"k": 2}`, `{"k": 2, "resilient": true}`} {
+		resp, body := doReqH(t, http.MethodPost,
+			ts.URL+"/v1/tenants/acme/catalogs/movies/topk",
+			reqBody, map[string]string{TraceSampleHeader: "1"})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("topk = %d: %s", resp.StatusCode, body)
+		}
+		traceID := resp.Header.Get(TraceIDHeader)
+		if len(traceID) != 16 {
+			t.Fatalf("response %s header = %q, want 16 hex digits", TraceIDHeader, traceID)
+		}
+		if resp.Header.Get(TraceSampledNote) != "1" {
+			t.Errorf("forced sampling did not set %s", TraceSampledNote)
+		}
 
-	// Retrieve the span tree over the debug surface, as an operator would.
-	tresp, tbody := doReqH(t, http.MethodGet, ts.URL+"/debug/traces?trace_id="+traceID, "", nil)
-	if tresp.StatusCode != http.StatusOK {
-		t.Fatalf("/debug/traces = %d: %s", tresp.StatusCode, tbody)
-	}
-	tr := decode[telemetry.Trace](t, tbody)
-	if tr.TraceID != traceID || tr.Tenant != "acme" || tr.Endpoint != "topk" || tr.Status != 200 {
-		t.Fatalf("trace meta = %+v", tr)
-	}
-	root, ok := tr.Root()
-	if !ok || root.Name != "http.topk" {
-		t.Fatalf("root = %+v, ok=%v", root, ok)
-	}
-	kids := map[string]telemetry.SpanRecord{}
-	for _, k := range tr.Children(root.SpanID) {
-		kids[k.Name] = k
-	}
-	if _, ok := kids["admission"]; !ok {
-		t.Errorf("no admission span among root children: %v", kids)
-	}
-	eng, ok := kids["engine.medrank"]
-	if !ok {
-		t.Fatalf("no engine span among root children: %v", kids)
-	}
-	if eng.Attrs["sequential"] <= 0 {
-		t.Errorf("engine span lacks AccessAccountant totals: %v", eng.Attrs)
-	}
-	if _, ok := kids["cache"]; !ok {
-		t.Errorf("no cache span among root children: %v", kids)
-	}
-	// The kernel's own span nests under the engine span.
-	if inner := tr.Children(eng.SpanID); len(inner) == 0 || inner[0].Name != "topk.medrank" {
-		t.Errorf("engine children = %+v, want topk.medrank", inner)
+		// Retrieve the span tree over the debug surface, as an operator would.
+		tresp, tbody := doReqH(t, http.MethodGet, ts.URL+"/debug/traces?trace_id="+traceID, "", nil)
+		if tresp.StatusCode != http.StatusOK {
+			t.Fatalf("/debug/traces = %d: %s", tresp.StatusCode, tbody)
+		}
+		tr := decode[telemetry.Trace](t, tbody)
+		if tr.TraceID != traceID || tr.Tenant != "acme" || tr.Endpoint != "topk" || tr.Status != 200 {
+			t.Fatalf("trace meta = %+v", tr)
+		}
+		root, ok := tr.Root()
+		if !ok || root.Name != "http.topk" {
+			t.Fatalf("root = %+v, ok=%v", root, ok)
+		}
+		kids := map[string]telemetry.SpanRecord{}
+		for _, k := range tr.Children(root.SpanID) {
+			kids[k.Name] = k
+		}
+		if _, ok := kids["admission"]; !ok {
+			t.Errorf("no admission span among root children: %v", kids)
+		}
+		eng, ok := kids["engine.medrank"]
+		if !ok {
+			t.Fatalf("no engine span among root children: %v", kids)
+		}
+		if eng.Attrs["sequential"] <= 0 {
+			t.Errorf("engine span lacks AccessAccountant totals: %v", eng.Attrs)
+		}
+		if _, ok := kids["cache"]; !ok {
+			t.Errorf("no cache span among root children: %v", kids)
+		}
+		// The kernel's own span nests under the engine span.
+		if inner := tr.Children(eng.SpanID); len(inner) == 0 || inner[0].Name != "topk.medrank" {
+			t.Errorf("%s: engine children = %+v, want topk.medrank", reqBody, inner)
+		}
 	}
 }
 

@@ -1,12 +1,14 @@
 package topk
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
 
 	"repro/internal/randrank"
 	"repro/internal/ranking"
+	"repro/internal/telemetry"
 )
 
 // The instance-optimality story in numbers: probes on correlated inputs
@@ -34,14 +36,15 @@ func BenchmarkMedRankPolicies(b *testing.B) {
 	}
 }
 
-func BenchmarkCursorScan(b *testing.B) {
+func BenchmarkListSourceScan(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	pr := randrank.Partial(rng, 100000, 50)
+	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c := NewCursor(pr)
+		s := NewListSource(pr, telemetry.NewAccessAccountant(1), 0)
 		for {
-			if _, ok := c.Next(); !ok {
+			if _, ok, _ := s.Next(ctx); !ok {
 				break
 			}
 		}

@@ -7,10 +7,12 @@ import (
 	"os"
 	"reflect"
 	"runtime"
+	"sort"
 	"strconv"
 	"testing"
 	"time"
 
+	"repro/internal/aggregate"
 	"repro/internal/faults"
 	"repro/internal/randrank"
 	"repro/internal/ranking"
@@ -53,32 +55,139 @@ func chaosEnsemble(t *testing.T, n, m int) []*ranking.PartialRanking {
 	return randrank.CatalogEnsemble(rng, n, m, 6, 1.0, 1.5).Rankings
 }
 
-func TestMedRankOverFaultFreeMatchesMedRank(t *testing.T) {
-	in := chaosEnsemble(t, 400, 5)
-	for _, pol := range []Policy{GlobalMerge, RoundRobin, GlobalMergeBuckets, RoundRobinBuckets} {
-		want, err := MedRank(in, 10, pol)
-		if err != nil {
-			t.Fatal(err)
+// pinnedEnsemble is chaosEnsemble(400, 5) at fault seed 1, whatever
+// RANKTIES_FAULT_SEED says: the instance recordedAccesses was measured on.
+func pinnedEnsemble() []*ranking.PartialRanking {
+	return randrank.CatalogEnsemble(rand.New(rand.NewSource(1)), 400, 5, 6, 1.0, 1.5).Rankings
+}
+
+// recordedAccesses holds {Stats.Total, Stats.Random, Stats.TotalBucketProbes}
+// of each engine on pinnedEnsemble at k = 10, recorded from the earlier
+// cursor-driven MEDRANK and TA and the NRA/CA of the same release: any change
+// to what an engine reads on this instance shows here.
+var recordedAccesses = map[string][3]int{
+	"medrank/GlobalMerge":        {652, 0, 652},
+	"medrank/RoundRobin":         {814, 0, 814},
+	"medrank/GlobalMergeBuckets": {652, 0, 4},
+	"medrank/RoundRobinBuckets":  {652, 0, 4},
+	"ta":                         {813, 656, 0},
+	"ta/theta0":                  {813, 656, 0},
+	"nra":                        {815, 0, 815},
+	"ca/ratio10":                 {815, 0, 815},
+}
+
+func checkRecorded(t *testing.T, name string, res *Result) {
+	t.Helper()
+	want, ok := recordedAccesses[name]
+	if !ok {
+		t.Fatalf("no recorded access counts for %q", name)
+	}
+	got := [3]int{res.Stats.Total, res.Stats.Random, res.Stats.TotalBucketProbes}
+	if got != want {
+		t.Errorf("%s: {total, random, bucket probes} = %v, recorded %v", name, got, want)
+	}
+}
+
+// checkOracle compares an exact engine's answer with the offline lower-median
+// top-k: the same top-k list, and every winner's median.
+func checkOracle(t *testing.T, name string, in []*ranking.PartialRanking, k int, res *Result) {
+	t.Helper()
+	want, err := aggregate.MedianTopK(in, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.TopK.Equal(want) {
+		t.Fatalf("%s: top-k list %v, offline %v", name, res.TopK, want)
+	}
+	f4, err := aggregate.MedianScores2(in, aggregate.LowerMedian)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, w := range res.Winners {
+		if res.Medians2[i]*2 != f4[w] {
+			t.Fatalf("%s: median of %d = %d/2, offline %d/4", name, w, res.Medians2[i], f4[w])
 		}
+	}
+}
+
+// TestMedRankOverFaultFreeMatchesMedRank pins fault-free MEDRANK, through
+// both the source entry point and the in-memory adapter, to the offline
+// answer and to the recorded access counts of every policy.
+func TestMedRankOverFaultFreeMatchesMedRank(t *testing.T) {
+	in := pinnedEnsemble()
+	for _, pol := range []struct {
+		name string
+		p    Policy
+	}{
+		{"GlobalMerge", GlobalMerge}, {"RoundRobin", RoundRobin},
+		{"GlobalMergeBuckets", GlobalMergeBuckets}, {"RoundRobinBuckets", RoundRobinBuckets},
+	} {
 		acc := telemetry.NewAccessAccountant(len(in))
-		got, err := MedRankOver(context.Background(), chaosSources(in, acc, nil), 10, pol, acc)
+		got, err := MedRankOver(context.Background(), chaosSources(in, acc, nil), 10, pol.p, acc)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got.Degraded != nil {
-			t.Fatalf("policy %d: fault-free run reported Degraded", pol)
+			t.Fatalf("%s: fault-free run reported Degraded", pol.name)
 		}
-		if !reflect.DeepEqual(got.Winners, want.Winners) || !reflect.DeepEqual(got.Medians2, want.Medians2) {
-			t.Fatalf("policy %d: source path diverged from cursor path:\n got %v %v\nwant %v %v",
-				pol, got.Winners, got.Medians2, want.Winners, want.Medians2)
+		checkOracle(t, pol.name, in, 10, got)
+		checkRecorded(t, "medrank/"+pol.name, got)
+		viaRankings, err := MedRank(in, 10, pol.p)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !got.TopK.Equal(want.TopK) {
-			t.Fatalf("policy %d: TopK lists differ", pol)
+		checkOracle(t, pol.name, in, 10, viaRankings)
+		checkRecorded(t, "medrank/"+pol.name, viaRankings)
+	}
+}
+
+// TestRecordedAccessCounts runs every engine through Run, the one dispatch,
+// against the offline answer (exact engines) or answer set (NRA/CA) and the
+// recorded access counts.
+func TestRecordedAccessCounts(t *testing.T) {
+	in := pinnedEnsemble()
+	f4, err := aggregate.MedianScores2(in, aggregate.LowerMedian)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byMedian := make([]int, len(f4))
+	for e := range byMedian {
+		byMedian[e] = e
+	}
+	sort.SliceStable(byMedian, func(a, b int) bool { return f4[byMedian[a]] < f4[byMedian[b]] })
+	wantSet := sortedSet(byMedian[:10])
+	for _, tc := range []struct {
+		name string
+		spec Spec
+	}{
+		{"medrank/GlobalMerge", Spec{Algo: AlgoMedRank, K: 10, Policy: GlobalMerge}},
+		{"medrank/RoundRobin", Spec{K: 10, Policy: RoundRobin}},
+		{"medrank/GlobalMergeBuckets", Spec{Algo: AlgoMedRank, K: 10, Policy: GlobalMergeBuckets}},
+		{"medrank/RoundRobinBuckets", Spec{Algo: AlgoMedRank, K: 10, Policy: RoundRobinBuckets}},
+		{"ta", Spec{Algo: AlgoTA, K: 10}},
+		{"nra", Spec{Algo: AlgoNRA, K: 10, CostRatio: 10}},
+		{"ca/ratio10", Spec{Algo: AlgoCA, K: 10}},
+	} {
+		sources, acc, err := ListSources(in)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if got.Stats.Total != want.Stats.Total {
-			t.Errorf("policy %d: source path probed %d, cursor path %d",
-				pol, got.Stats.Total, want.Stats.Total)
+		res, err := Run(context.Background(), tc.spec, sources, acc)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
 		}
+		checkRecorded(t, tc.name, res)
+		if tc.spec.Algo == AlgoNRA || tc.spec.Algo == AlgoCA {
+			if got := sortedSet(res.Winners); !reflect.DeepEqual(got, wantSet) {
+				t.Errorf("%s: answer set %v, offline %v", tc.name, got, wantSet)
+			}
+			continue
+		}
+		checkOracle(t, tc.name, in, 10, res)
+	}
+	sources, acc, _ := ListSources(in)
+	if _, err := Run(context.Background(), Spec{Algo: "bogus", K: 1}, sources, acc); err == nil {
+		t.Error("Run accepted an unknown algo")
 	}
 }
 
@@ -343,12 +452,11 @@ func TestMedRankContextCancelled(t *testing.T) {
 	}
 }
 
+// TestThresholdTopKOverFaultFreeMatchesTA pins fault-free TA, through both
+// the source entry point and the in-memory adapter, to the offline answer and
+// to the recorded access counts.
 func TestThresholdTopKOverFaultFreeMatchesTA(t *testing.T) {
-	in := chaosEnsemble(t, 400, 5)
-	want, err := ThresholdTopK(in, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	in := pinnedEnsemble()
 	acc := telemetry.NewAccessAccountant(len(in))
 	got, err := ThresholdTopKOver(context.Background(), chaosSources(in, acc, nil), 10, acc)
 	if err != nil {
@@ -357,13 +465,14 @@ func TestThresholdTopKOverFaultFreeMatchesTA(t *testing.T) {
 	if got.Degraded != nil {
 		t.Fatal("fault-free TA run reported Degraded")
 	}
-	if !reflect.DeepEqual(got.Winners, want.Winners) || !reflect.DeepEqual(got.Medians2, want.Medians2) {
-		t.Fatalf("TA source path diverged:\n got %v %v\nwant %v %v",
-			got.Winners, got.Medians2, want.Winners, want.Medians2)
+	checkOracle(t, "ta", in, 10, got)
+	checkRecorded(t, "ta", got)
+	viaRankings, err := ThresholdTopK(in, 10)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got.Stats.Random != want.Stats.Random {
-		t.Errorf("random accesses: source path %d, ranking path %d", got.Stats.Random, want.Stats.Random)
-	}
+	checkOracle(t, "ta", in, 10, viaRankings)
+	checkRecorded(t, "ta", viaRankings)
 }
 
 func TestThresholdTopKOverDeathDeterministic(t *testing.T) {

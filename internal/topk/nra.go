@@ -28,10 +28,9 @@ import (
 //     ~cR/cS sorted rounds, so expensive random accesses are paid only when
 //     they amortize against the sorted work they save.
 //
-// Both engines share one certification core (nraCore) and one fallible driver
-// (nraFallibleRun, nra_fallible.go); the infallible entry points below are
-// thin wrappers that run the fallible driver over infallible list sources, so
-// there is exactly one code path to trust.
+// Both engines share one certification core (nraCore) and one driver
+// (caRun); the in-memory entry points below run that driver over list
+// sources, so there is exactly one code path to trust.
 
 // nraInf is the sentinel for an unknown worst-case bound: strictly larger
 // than any real doubled position and than the bottom-of-order sentinel
@@ -48,35 +47,32 @@ func lexLT(v1 int64, e1 int, v2 int64, e2 int) bool {
 	return v1 < v2 || (v1 == v2 && e1 < e2)
 }
 
-// pairMaxHeap is a max-heap of (value, element) pairs under lexLT; the root
-// is the largest tracked pair. It tracks the k lexicographically smallest
-// worst-case bounds, whose root is the domination bar.
-type pairMaxHeap []struct {
+// pair is an (value, element) pair ordered by lexLT.
+type pair struct {
 	v int64
 	e int
 }
 
-func (h pairMaxHeap) Len() int           { return len(h) }
-func (h pairMaxHeap) Less(i, j int) bool { return lexLT(h[j].v, h[j].e, h[i].v, h[i].e) }
-func (h pairMaxHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *pairMaxHeap) Push(x interface{}) {
-	*h = append(*h, x.(struct {
-		v int64
-		e int
-	}))
-}
+// pairMaxHeap is a max-heap of pairs under lexLT; the root is the largest
+// tracked pair. It tracks the k lexicographically smallest worst-case bounds,
+// whose root is the domination bar.
+type pairMaxHeap []pair
+
+func (h pairMaxHeap) Len() int            { return len(h) }
+func (h pairMaxHeap) Less(i, j int) bool  { return lexLT(h[j].v, h[j].e, h[i].v, h[i].e) }
+func (h pairMaxHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
+func (h *pairMaxHeap) Push(x interface{}) { *h = append(*h, x.(pair)) }
 func (h *pairMaxHeap) Pop() interface{} {
 	old := *h
-	n := len(old)
-	v := old[n-1]
-	*h = old[:n-1]
+	v := old[len(old)-1]
+	*h = old[:len(old)-1]
 	return v
 }
 
 // nraCore is the interval-certification state shared by NRA and CA. Like
-// medrankRun it is access-agnostic: it sees lists only through frontier
-// positions and per-slot known bitmaps, so the fallible driver can rebuild a
-// fresh core over the survivors after a list death and replay the logs.
+// medrankCore it sees lists only through frontier positions and the
+// survivors' revealed-element bitmaps, so the driver can rebuild a fresh core
+// over the survivors after a list death and replay the logs.
 //
 // Monotonicity makes bounded buffers sound: a candidate's worst-case bound
 // only shrinks as positions arrive, its best-case bound only grows (frontiers
@@ -84,11 +80,11 @@ func (h *pairMaxHeap) Pop() interface{} {
 // the domination bar only shrinks. Once a candidate's best case clears the
 // bar it can never re-enter the race and its position buffer is freed.
 type nraCore struct {
+	sv              *survivors
 	n, m, k, needed int
-	frontier        []int64    // per slot: doubled position of next unprobed entry
-	known           [][]uint64 // per slot: bitmap of elements with a known position
-	seen            [][]int64  // per element: known doubled positions (nil once cleared)
-	probed          []bool     // per element: ever had a position recorded
+	frontier        []int64   // per slot: doubled position of next unprobed entry
+	seen            [][]int64 // per element: known doubled positions (nil once cleared)
+	probed          []bool    // per element: ever had a position recorded
 	probedDistinct  int
 	minUnprobed     int    // smallest never-probed element ID
 	cleared         []bool // provably outside the top k
@@ -96,39 +92,16 @@ type nraCore struct {
 	bufferPeak      int    // peak number of simultaneously held candidate buffers
 }
 
-func newNRACore(n, m, k int) *nraCore {
-	words := (n + 63) / 64
-	c := &nraCore{
-		n: n, m: m, k: k,
-		needed:   (m + 1) / 2,
-		frontier: make([]int64, m),
-		known:    make([][]uint64, m),
-		seen:     make([][]int64, n),
-		probed:   make([]bool, n),
-		cleared:  make([]bool, n),
-	}
-	for i := range c.known {
-		c.known[i] = make([]uint64, words)
-	}
-	return c
-}
-
 // knownIn reports whether slot li already holds element e's position.
-func (c *nraCore) knownIn(li, e int) bool {
-	return c.known[li][e>>6]&(1<<(uint(e)&63)) != 0
-}
+func (c *nraCore) knownIn(li, e int) bool { return c.sv.has(c.sv.aliveIdx[li], e) }
 
-// add registers element e's doubled position in slot li, whether it arrived
-// by sorted or by random access — once known, a position is a position, which
-// is what lets CA feed its random-access lookups into the same state (and the
-// fallible driver replay both kinds of log after a list death). Duplicates
-// are ignored: a sorted scan re-revealing a random-accessed entry changes
-// nothing.
-func (c *nraCore) add(li, e int, pos2 int64) {
-	if c.knownIn(li, e) {
-		return
-	}
-	c.known[li][e>>6] |= 1 << (uint(e) & 63)
+// add registers a newly learned position, whether it arrived by sorted or by
+// random access — once known, a position is a position, which is what lets
+// CA feed its random-access lookups into the same state (and the driver
+// replay them after a list death). The caller passes each (list, element)
+// once: survivors.learn filters a sorted scan re-revealing a random-accessed
+// entry.
+func (c *nraCore) add(e int, pos2 int64) {
 	if !c.probed[e] {
 		c.probed[e] = true
 		c.probedDistinct++
@@ -177,7 +150,7 @@ func (c *nraCore) best2(e int) int64 {
 }
 
 // clear drops e from the race for good and frees its position buffer. Sound
-// by monotonicity (see the type comment); the fallible driver's logs retain
+// by monotonicity (see the type comment); the survivor logs retain
 // the raw entries for replay after a list death, when the instance — and
 // hence every clearance — is recomputed from scratch.
 func (c *nraCore) clear(e int) {
@@ -228,15 +201,9 @@ func (c *nraCore) check() (done bool, blocker int) {
 			continue
 		}
 		if h.Len() < c.k {
-			heap.Push(&h, struct {
-				v int64
-				e int
-			}{w, e})
+			heap.Push(&h, pair{w, e})
 		} else if lexLT(w, e, h[0].v, h[0].e) {
-			h[0] = struct {
-				v int64
-				e int
-			}{w, e}
+			h[0] = pair{w, e}
 			heap.Fix(&h, 0)
 		}
 	}
@@ -284,7 +251,7 @@ func (c *nraCore) check() (done bool, blocker int) {
 // the list by ID.
 func (c *nraCore) finalTopK() (winners []int, medians2 []int64, intervals [][2]int64) {
 	type cand struct {
-		e          int
+		e         int
 		med2, lo2 int64
 	}
 	cands := make([]cand, 0, len(c.live)+c.n-c.probedDistinct)
@@ -340,7 +307,7 @@ func NRA(rankings []*ranking.PartialRanking, k int) (*Result, error) {
 // NRAContext is NRA under a caller context; cancellation or deadline expiry
 // aborts the run between accesses with ctx.Err().
 func NRAContext(ctx context.Context, rankings []*ranking.PartialRanking, k int) (*Result, error) {
-	return caRankings(ctx, rankings, k, 0)
+	return CAContext(ctx, rankings, k, 0)
 }
 
 // CA runs the combined algorithm of Fagin, Lotem, and Naor at the given
@@ -354,25 +321,191 @@ func CA(rankings []*ranking.PartialRanking, k, ratio int) (*Result, error) {
 	return CAContext(context.Background(), rankings, k, ratio)
 }
 
-// CAContext is CA under a caller context.
+// CAContext is CA under a caller context. It is CAOver over list sources.
 func CAContext(ctx context.Context, rankings []*ranking.PartialRanking, k, ratio int) (*Result, error) {
-	return caRankings(ctx, rankings, k, ratio)
-}
-
-// caRankings adapts in-memory rankings onto the shared fallible driver: the
-// infallible engines are the fallible ones over infallible sources, so the
-// certified-stop logic has exactly one implementation.
-func caRankings(ctx context.Context, rankings []*ranking.PartialRanking, k, ratio int) (*Result, error) {
-	if len(rankings) == 0 {
-		return nil, fmt.Errorf("topk: no input rankings")
-	}
-	if err := ranking.CheckSameDomain(rankings...); err != nil {
+	sources, acc, err := ListSources(rankings)
+	if err != nil {
 		return nil, err
 	}
-	acc := telemetry.NewAccessAccountant(len(rankings))
-	sources := make([]faults.Source, len(rankings))
-	for i, r := range rankings {
-		sources[i] = NewListSource(r, acc, i)
-	}
 	return caOver(ctx, sources, k, ratio, acc)
+}
+
+// NRAOver runs the no-random-access engine over sources that may fail: the
+// fault-tolerant contract of MedRankOver (transients absorbed below by
+// faults.WithRetry, any error reaching the engine permanently kills that
+// list, the run degrades to the exact answer over the survivors) with NRA's
+// access pattern (sorted access only — the source stack's Pos2 is never
+// called). acc follows the MedRankOver convention.
+func NRAOver(ctx context.Context, sources []faults.Source, k int, acc *telemetry.AccessAccountant) (*Result, error) {
+	return caOver(ctx, sources, k, 0, acc)
+}
+
+// CAOver runs the combined algorithm over sources that may fail, at the
+// given random:sequential cost ratio (see CA). Random accesses that fail
+// kill their list exactly like sequential ones.
+func CAOver(ctx context.Context, sources []faults.Source, k, ratio int, acc *telemetry.AccessAccountant) (*Result, error) {
+	return caOver(ctx, sources, k, ratio, acc)
+}
+
+// caOver is the single implementation behind NRA/CA/NRAOver/CAOver.
+func caOver(ctx context.Context, sources []faults.Source, k, ratio int, acc *telemetry.AccessAccountant) (*Result, error) {
+	if ratio < 0 {
+		return nil, fmt.Errorf("topk: negative cost ratio %d", ratio)
+	}
+	sv, err := newSurvivors(sources, k, acc)
+	if err != nil {
+		return nil, err
+	}
+	f := &caRun{survivors: sv, ratio: ratio}
+	f.rebuild()
+	eng := nraEngine
+	if ratio > 0 {
+		eng = caEngine
+	}
+	if err := eng.drive(ctx, f.drive); err != nil {
+		return nil, err
+	}
+	winners, medians2, intervals := f.core.finalTopK()
+	res, err := sv.result(eng, winners, medians2, nil)
+	if err != nil {
+		return nil, err
+	}
+	res.Intervals2 = intervals
+	res.BufferPeak = max(f.bufferPeak, f.core.bufferPeak)
+	return res, nil
+}
+
+// caRun drives the interval-certification core for both NRA (ratio 0:
+// sorted access only) and CA (ratio > 0: a random-access resolution every
+// ~ratio sorted rounds). Random-access lookups are logged alongside sorted
+// entries, since they are real knowledge the rebuilt core must not lose.
+// Rebuilding from scratch after a list death also re-derives every buffer
+// clearance: a clearance proved against the old instance (all m lists) need
+// not hold against the survivor instance, so none of them are carried over.
+type caRun struct {
+	*survivors
+	ratio int // sorted rounds between random-access resolutions; 0 = never (NRA)
+
+	core       *nraCore
+	rrNext     int
+	sinceRA    int // sorted rounds since the last random-access resolution
+	bufferPeak int // max over replaced cores of the candidate-buffer peak
+}
+
+// rebuild constructs a fresh certification core over the currently alive
+// lists and replays every survivor's log into it.
+func (f *caRun) rebuild() {
+	if f.core != nil {
+		f.bufferPeak = max(f.bufferPeak, f.core.bufferPeak)
+	}
+	m := len(f.aliveIdx)
+	c := &nraCore{
+		sv: f.survivors,
+		n:  f.n, m: m, k: f.k,
+		needed:   (m + 1) / 2,
+		frontier: make([]int64, m),
+		seen:     make([][]int64, f.n),
+		probed:   make([]bool, f.n),
+		cleared:  make([]bool, f.n),
+	}
+	for li, orig := range f.aliveIdx {
+		c.frontier[li] = f.sources[orig].Peek2()
+	}
+	f.replay(func(_ int, e Entry) { c.add(e.Elem, e.Pos2) })
+	f.core = c
+	if f.rrNext >= m {
+		f.rrNext = 0
+	}
+	f.sinceRA = 0
+}
+
+// drive alternates certification checks with work: a random-access
+// resolution when one is due and useful, otherwise one sorted round over the
+// survivors. The check runs at round granularity (the textbook NRA schedule)
+// rather than per probe: a per-probe check would cost O(candidates·m) per
+// entry consumed.
+func (f *caRun) drive(ctx context.Context) error {
+	for {
+		if err := ctxErr(ctx); err != nil {
+			return err
+		}
+		done, blocker := f.core.check()
+		if done {
+			return nil
+		}
+		if f.ratio > 0 && blocker >= 0 && f.sinceRA >= f.ratio {
+			if err := f.resolve(ctx, blocker); err != nil {
+				return err
+			}
+			f.sinceRA = 0
+			continue
+		}
+		progressed, err := f.round(ctx)
+		if err != nil {
+			return err
+		}
+		if !progressed {
+			// Every survivor exhausted or truncated without a certificate:
+			// finalTopK promotes by the missing-positions-are-infinite
+			// convention, matching MedRankOver's degraded semantics. (With
+			// complete lists this is unreachable — full knowledge certifies.)
+			return nil
+		}
+		f.sinceRA++
+	}
+}
+
+// round performs one sorted access on each live survivor list in round-robin
+// order. A death mid-round aborts the round (the rebuilt core must be
+// re-checked before more work is scheduled against it).
+func (f *caRun) round(ctx context.Context) (bool, error) {
+	progressed := false
+	for t, m := 0, len(f.aliveIdx); t < m; t++ {
+		if f.rrNext >= len(f.aliveIdx) {
+			f.rrNext = 0
+		}
+		li := f.rrNext
+		f.rrNext = (f.rrNext + 1) % len(f.aliveIdx)
+		if f.core.frontier[li] == math.MaxInt64 {
+			continue
+		}
+		orig := f.aliveIdx[li]
+		e, ok, err := f.sources[orig].Next(ctx)
+		if err != nil {
+			if err := f.kill(orig, err, f.rebuild); err != nil {
+				return false, err
+			}
+			return true, nil
+		}
+		if !ok {
+			f.core.frontier[li] = math.MaxInt64
+			continue
+		}
+		f.acc.BucketIO(orig)
+		progressed = true
+		if f.learn(orig, e) {
+			f.core.add(e.Elem, e.Pos2)
+		}
+		f.core.frontier[li] = f.sources[orig].Peek2()
+	}
+	return progressed, nil
+}
+
+// resolve closes the blocking candidate's interval: one random access per
+// surviving list where its position is still unknown.
+func (f *caRun) resolve(ctx context.Context, e int) error {
+	for li := 0; li < len(f.aliveIdx); li++ {
+		if f.core.knownIn(li, e) {
+			continue
+		}
+		orig := f.aliveIdx[li]
+		v, err := f.sources[orig].Pos2(ctx, e)
+		if err != nil {
+			// A death renumbers the survivor slots; the caller re-checks.
+			return f.kill(orig, err, f.rebuild)
+		}
+		f.learn(orig, Entry{Elem: e, Pos2: v})
+		f.core.add(e, v)
+	}
+	return nil
 }

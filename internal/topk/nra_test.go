@@ -311,12 +311,12 @@ func TestCertificateLowerBoundAbsentElements(t *testing.T) {
 	// Winner 4 exists only in r5; winner 7 in neither. The old code indexed
 	// BucketOf unconditionally and panicked on both.
 	in := []*ranking.PartialRanking{r5, r3}
-	got := CertificateLowerBound(in, []int{4, 7})
+	got := CertificateLowerBoundCost(in, []int{4, 7}, 1, 0)
 	// needed = 1; winner 4's only observable list is r5 at depth 1+|{0,1}|+|{2}| = 4.
 	if got != 4 {
-		t.Fatalf("CertificateLowerBound = %d, want 4", got)
+		t.Fatalf("CertificateLowerBoundCost = %d, want 4", got)
 	}
-	if CertificateLowerBound(in, []int{7}) != 0 {
+	if CertificateLowerBoundCost(in, []int{7}, 1, 0) != 0 {
 		t.Fatal("a winner absent everywhere must contribute a zero bound")
 	}
 }
@@ -331,9 +331,12 @@ func TestCertificateLowerBoundCost(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := res.Winners
-	seqOnly := CertificateLowerBound(in, w)
-	if got := CertificateLowerBoundCost(in, w, 1, 0); got != seqOnly {
-		t.Fatalf("cr<=0 must degenerate to the sequential bound: got %d want %d", got, seqOnly)
+	seqOnly := CertificateLowerBoundCost(in, w, 1, 0)
+	if got := CertificateLowerBoundCost(in, w, 1, -1); got != seqOnly {
+		t.Fatalf("every cr<=0 must select the sequential bound: got %d want %d", got, seqOnly)
+	}
+	if seqOnly <= 0 || seqOnly > res.Stats.Total {
+		t.Fatalf("sequential bound %d outside (0, MEDRANK probes %d]", seqOnly, res.Stats.Total)
 	}
 	// With random access priced at cr, no per-list charge exceeds cr, and
 	// cheaper random access can only lower the bound.

@@ -1,263 +1,82 @@
 package topk
 
 import (
-	"container/heap"
 	"context"
-	"math"
-	"sort"
+	"fmt"
+
+	"repro/internal/faults"
+	"repro/internal/telemetry"
 )
 
-// This file holds the certification engine shared by both probe policies.
-//
-// An element's lower median is the needed-th smallest of its m positions.
-// Once an element has been probed `needed` times and its needed-th smallest
-// seen position is at most the frontier of every list where it is still
-// unseen, that value is its exact median — unseen positions are at least
-// their frontiers, so they cannot enter the needed smallest — and it never
-// changes afterwards.
-//
-// Certification of the top k requires: at least k exact elements, and every
-// other element's median lower bound strictly exceeding the k-th smallest
-// exact median. Two monotonicity facts make this cheap to maintain:
-//
-//   - an element's median lower bound only grows (frontiers advance, and a
-//     probed position is at least the frontier it replaces);
-//   - the k-th smallest exact median only shrinks as elements become exact.
-//
-// Hence once an element's bound clears the bar it is out of the race for
-// good ("cleared"), and each element is charged O(m log m) work a constant
-// number of times plus one examination per failed certification.
+// Algo names a top-k engine of the FLN middleware family.
+type Algo string
 
-// promote records e's exact median.
-func (r *medrankRun) promote(e int, med int64) {
-	r.exactMed[e] = med
-	r.exactCount++
-	if r.k > 0 {
-		heap.Push(r.kSmall, med)
-		if r.kSmall.Len() > r.k {
-			heap.Pop(r.kSmall)
-		}
+// The engines Run dispatches to: MEDRANK (MedRankOver), TA
+// (ThresholdTopKOver, ThresholdTopKApprox), NRA (NRAOver), and CA (CAOver).
+const (
+	AlgoMedRank Algo = "medrank"
+	AlgoTA      Algo = "ta"
+	AlgoNRA     Algo = "nra"
+	AlgoCA      Algo = "ca"
+)
+
+// DefaultCostRatio is the random:sequential cost ratio cR/cS assumed when a
+// query sets none for an engine whose random accesses have a price (TA, CA):
+// random access an order of magnitude more expensive than the next entry of
+// an open scan, the classic middleware regime.
+const DefaultCostRatio = 10
+
+// ParseAlgo resolves an engine name; the empty name selects MEDRANK.
+func ParseAlgo(name string) (Algo, error) {
+	switch a := Algo(name); a {
+	case "":
+		return AlgoMedRank, nil
+	case AlgoMedRank, AlgoTA, AlgoNRA, AlgoCA:
+		return a, nil
 	}
+	return "", fmt.Errorf("unknown algo %q (want medrank, ta, nra, or ca)", name)
 }
 
-// onProbed is called after element e gained a new seen position.
-func (r *medrankRun) onProbed(e int) {
-	if r.exactMed[e] != math.MaxInt64 || r.cleared[e] {
-		return
-	}
-	if med, ok := r.tryExact(e); ok {
-		r.promote(e, med)
-		return
-	}
-	if !r.inPend[e] {
-		r.pending = append(r.pending, e)
-		r.inPend[e] = true
-	}
+// Spec selects one engine run.
+type Spec struct {
+	Algo Algo
+	K    int
+	// CostRatio is the cR/cS weight; <= 0 selects the engine default (see
+	// EffectiveCostRatio). It schedules CA's random accesses.
+	CostRatio int
+	// Theta is TA's approximation slack (see ThresholdTopKApprox); 0 is
+	// exact. The other engines ignore it.
+	Theta float64
+	// Policy is MEDRANK's probe schedule. The other engines ignore it.
+	Policy Policy
 }
 
-func (r *medrankRun) certified() bool {
-	if r.k == 0 {
-		return true
+// EffectiveCostRatio resolves the spec's cR/cS weight: a positive CostRatio
+// wins; otherwise TA and CA default to DefaultCostRatio, while MEDRANK and
+// NRA run in the NRA regime (random access unused, so unpriced: 0).
+func (s Spec) EffectiveCostRatio() int {
+	if s.CostRatio > 0 {
+		return s.CostRatio
 	}
-	if r.exactCount < r.k {
-		return false
+	if s.Algo == AlgoTA || s.Algo == AlgoCA {
+		return DefaultCostRatio
 	}
-	kth := r.kSmall.Peek()
-	if r.probedDistinct < r.n && r.unseenLB() <= kth {
-		return false
-	}
-	// Examine pending elements; compact out the ones that are promoted,
-	// already exact, or cleared. Bail out at the first genuine blocker.
-	keep := r.pending[:0]
-	blocked := false
-	for idx, e := range r.pending {
-		if blocked {
-			keep = append(keep, r.pending[idx:]...)
-			break
-		}
-		if r.exactMed[e] != math.MaxInt64 || r.cleared[e] {
-			r.inPend[e] = false
-			continue
-		}
-		if r.medianLB(e) > kth {
-			r.cleared[e] = true
-			r.inPend[e] = false
-			continue
-		}
-		if med, ok := r.tryExact(e); ok {
-			r.promote(e, med)
-			r.inPend[e] = false
-			// Promotion can only shrink kth, so prior clearances stand.
-			kth = r.kSmall.Peek()
-			continue
-		}
-		// e genuinely blocks certification; keep it and everything after.
-		keep = append(keep, e)
-		blocked = true
-	}
-	r.pending = keep
-	return !blocked
+	return 0
 }
 
-// finalizeExhausted promotes every remaining element after all lists have
-// been fully read (every element then has all m positions seen).
-func (r *medrankRun) finalizeExhausted() {
-	for e := 0; e < r.n; e++ {
-		if r.exactMed[e] != math.MaxInt64 {
-			continue
-		}
-		if len(r.seen[e]) != r.m {
-			// Unreachable when every cursor is exhausted.
-			panic("topk: finalize with unseen positions")
-		}
-		r.promote(e, kthSmallest(r.seen[e], r.needed))
+// Run runs the spec's engine (MEDRANK when Algo is empty) over sources; acc
+// follows the MedRankOver convention. ListSources builds the sources of
+// in-memory rankings.
+func Run(ctx context.Context, spec Spec, sources []faults.Source, acc *telemetry.AccessAccountant) (*Result, error) {
+	switch spec.Algo {
+	case AlgoMedRank, "":
+		return MedRankOver(ctx, sources, spec.K, spec.Policy, acc)
+	case AlgoTA:
+		return taOver(ctx, sources, spec.K, spec.Theta, acc)
+	case AlgoNRA:
+		return caOver(ctx, sources, spec.K, 0, acc)
+	case AlgoCA:
+		return caOver(ctx, sources, spec.K, spec.EffectiveCostRatio(), acc)
 	}
-	r.pending = r.pending[:0]
-}
-
-// ctxCheckStride bounds how many probes may pass between context checks in
-// the infallible drive loop: frequent enough that a deadline aborts a long
-// certification promptly, sparse enough that the atomic-ish Err call stays
-// invisible on the hot path.
-const ctxCheckStride = 1024
-
-// drive repeatedly asks pick for a list to probe (-1 when none remains) and
-// stops as soon as the top k is certified, or with ctx.Err() when the caller
-// cancels mid-run.
-func (r *medrankRun) drive(ctx context.Context, pick func() int) error {
-	for it := 0; !r.certified(); it++ {
-		if it%ctxCheckStride == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		i := pick()
-		if i < 0 {
-			r.finalizeExhausted()
-			return nil
-		}
-		r.probe(i)
-	}
-	return nil
-}
-
-func (r *medrankRun) probe(i int) {
-	e, ok := r.cursors[i].Next()
-	if !ok {
-		r.frontier[i] = math.MaxInt64
-		return
-	}
-	r.acc.BucketIO(i)
-	r.consume(i, e, r.cursors[i].Peek2())
-	if !r.bucketGranular {
-		return
-	}
-	// Bucket granularity: the probe returned the whole run of entries tied
-	// at this position (one index-scan I/O).
-	for r.cursors[i].Peek2() == e.Pos2 {
-		next, ok := r.cursors[i].Next()
-		if !ok {
-			break
-		}
-		r.consume(i, next, r.cursors[i].Peek2())
-	}
-}
-
-// consume registers one revealed entry from list i, whose frontier has
-// advanced to frontier2.
-func (r *medrankRun) consume(i int, e Entry, frontier2 int64) {
-	r.frontier[i] = frontier2
-	r.replay(e)
-}
-
-// replay registers an entry without touching the frontier: the fallible
-// engine uses it to re-feed already-probed entries into a fresh
-// certification state after a list death, under the frontiers of the moment
-// (unseen positions are bounded by the current frontiers, so replaying under
-// the newest — largest — frontiers is exact, not just safe).
-func (r *medrankRun) replay(e Entry) {
-	if len(r.seen[e.Elem]) == 0 {
-		r.probedDistinct++
-	}
-	r.seen[e.Elem] = append(r.seen[e.Elem], e.Pos2)
-	r.onProbed(e.Elem)
-}
-
-// tryExact reports the exact median of e if certifiable now.
-func (r *medrankRun) tryExact(e int) (int64, bool) {
-	s := r.seen[e]
-	if len(s) < r.needed {
-		return 0, false
-	}
-	med := kthSmallest(s, r.needed)
-	if len(s) == r.m {
-		return med, true
-	}
-	for i := range r.frontier {
-		if r.frontier[i] < med && !r.seenIn(i, e) {
-			return 0, false
-		}
-	}
-	return med, true
-}
-
-// medianLB returns a lower bound on e's median: the needed-th smallest of
-// its seen positions merged with the frontiers of its unseen lists.
-func (r *medrankRun) medianLB(e int) int64 {
-	s := r.seen[e]
-	all := make([]int64, 0, r.m)
-	all = append(all, s...)
-	if len(s) < r.m {
-		for i := range r.frontier {
-			if !r.seenIn(i, e) {
-				all = append(all, r.frontier[i])
-			}
-		}
-	}
-	return kthSmallest(all, r.needed)
-}
-
-// unseenLB returns the median lower bound shared by all never-probed
-// elements: the needed-th smallest frontier.
-func (r *medrankRun) unseenLB() int64 {
-	return kthSmallest(r.frontier, r.needed)
-}
-
-// finalTopK ranks the exact elements by (median, element ID) and returns the
-// first k. By construction of certified(), every element that could precede
-// the k-th winner is exact.
-func (r *medrankRun) finalTopK() (winners []int, medians2 []int64) {
-	type cand struct {
-		e    int
-		med2 int64
-	}
-	cands := make([]cand, 0, r.exactCount)
-	for e := 0; e < r.n; e++ {
-		if r.exactMed[e] < math.MaxInt64 {
-			cands = append(cands, cand{e, r.exactMed[e]})
-		}
-	}
-	sort.Slice(cands, func(a, b int) bool {
-		if cands[a].med2 != cands[b].med2 {
-			return cands[a].med2 < cands[b].med2
-		}
-		return cands[a].e < cands[b].e
-	})
-	if len(cands) > r.k {
-		cands = cands[:r.k]
-	}
-	winners = make([]int, 0, len(cands))
-	for _, c := range cands {
-		winners = append(winners, c.e)
-		medians2 = append(medians2, c.med2)
-	}
-	return winners, medians2
-}
-
-// kthSmallest returns the k-th smallest (1-based) of xs without modifying
-// it. k must be in [1, len(xs)].
-func kthSmallest(xs []int64, k int) int64 {
-	cp := append([]int64(nil), xs...)
-	sort.Slice(cp, func(a, b int) bool { return cp[a] < cp[b] })
-	return cp[k-1]
+	return nil, fmt.Errorf("topk: unknown algo %q", spec.Algo)
 }

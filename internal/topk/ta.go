@@ -5,8 +5,9 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
+	"repro/internal/faults"
 	"repro/internal/ranking"
 	"repro/internal/telemetry"
 )
@@ -66,205 +67,290 @@ func ThresholdTopK(rankings []*ranking.PartialRanking, k int) (*Result, error) {
 // labels attach to it and cancellation or deadline expiry aborts the run
 // between accesses with ctx.Err().
 func ThresholdTopKContext(ctx context.Context, rankings []*ranking.PartialRanking, k int) (*Result, error) {
-	res, _, err := thresholdTopK(ctx, rankings, k, 0)
-	if err != nil {
-		return nil, err
-	}
-	tTARuns.Inc()
-	tTAProbes.Add(int64(res.Stats.Total))
-	tTARandom.Add(int64(res.Stats.Random))
-	return res, nil
+	return ThresholdTopKApprox(ctx, rankings, k, 0)
 }
 
 // ThresholdTopKApprox is the θ-approximation variant of ThresholdTopKContext
 // (FLN's approximate TA): the run may stop as soon as the k-th best resolved
 // median is within a (1+θ) factor of the threshold, instead of strictly
-// below it. The Result carries an ApproxCertificate proving the (1+θ) bound;
-// with θ = 0 the relaxed test never fires and the run — probe schedule,
-// accesses, and answer — is bit-identical to the exact engine.
+// below it. The Result's ApproxCertificate proves the (1+θ) bound; with
+// θ = 0 the relaxed test never fires and the run is the exact engine.
 //
 // The point of the variant is graceful degradation: under deadline pressure
 // a (1+θ)-certified answer now beats an exact answer that never arrives.
 func ThresholdTopKApprox(ctx context.Context, rankings []*ranking.PartialRanking, k int, theta float64) (*Result, error) {
-	if theta < 0 || math.IsNaN(theta) || math.IsInf(theta, 0) {
-		return nil, fmt.Errorf("topk: theta=%v out of range [0, +inf)", theta)
-	}
-	res, cert, err := thresholdTopK(ctx, rankings, k, theta)
+	sources, acc, err := ListSources(rankings)
 	if err != nil {
 		return nil, err
 	}
-	res.Approx = &cert
-	tTAApproxRuns.Inc()
-	if cert.EarlyStop {
-		tTAApproxEarly.Inc()
+	return taOver(ctx, sources, k, theta, acc)
+}
+
+// ThresholdTopKOver is the TA-style baseline over sources that may fail.
+// Sorted accesses proceed round-robin over the lists that are still alive;
+// every newly discovered element is resolved by random access in every other
+// alive list. Any non-context access error permanently kills the offending
+// list: the algorithm drops it from the aggregation, recomputes every
+// resolved median over the survivors (each resolved element's positions in
+// all currently-alive lists are known, so the recomputation is exact), and
+// keeps going. The answer is then the exact lower-median top-k over the
+// surviving lists and Result.Degraded is non-nil.
+//
+// Unlike MedRankOver, a truncated sorted scan costs TA nothing but
+// discovery: elements the scan never reveals are resolved by random access
+// once every survivor is exhausted, because random access by identity still
+// works on a source whose scan ended early.
+//
+// acc follows the MedRankOver convention.
+func ThresholdTopKOver(ctx context.Context, sources []faults.Source, k int, acc *telemetry.AccessAccountant) (*Result, error) {
+	return taOver(ctx, sources, k, 0, acc)
+}
+
+// taOver is the one TA. theta == 0 runs the exact strict stopping rule and
+// nothing else; theta > 0 additionally stops early once the k-th best
+// resolved median is ≤ (1+θ)·τ. The exact test is evaluated first each
+// iteration, so a θ = 0 run takes exactly the exact engine's branch sequence.
+func taOver(ctx context.Context, sources []faults.Source, k int, theta float64, acc *telemetry.AccessAccountant) (*Result, error) {
+	if theta < 0 || math.IsNaN(theta) || math.IsInf(theta, 0) {
+		return nil, fmt.Errorf("topk: theta=%v out of range [0, +inf)", theta)
+	}
+	sv, err := newSurvivors(sources, k, acc)
+	if err != nil {
+		return nil, err
+	}
+	t := &taRun{
+		survivors: sv,
+		theta:     theta,
+		cert:      ApproxCertificate{Theta: theta, Ratio: 1},
+		needed:    (sv.m + 1) / 2,
+		frontier:  make([]int64, sv.m),
+		rowOf:     make([]int, sv.n),
+		med:       make([]int64, sv.n),
+	}
+	for i, s := range sources {
+		t.frontier[i] = s.Peek2()
+	}
+	for e := range t.med {
+		t.rowOf[e] = -1
+		t.med[e] = math.MaxInt64
+	}
+	var attrs []func(*telemetry.Span)
+	if theta > 0 {
+		attrs = append(attrs, func(sp *telemetry.Span) { sp.SetAttr("theta_milli", int64(theta*1000)) })
+	}
+	if err := taEngine.drive(ctx, t.drive, attrs...); err != nil {
+		return nil, err
+	}
+
+	winners, medians2 := selectTopK(t.med, k)
+	res, err := sv.result(taEngine, winners, medians2, func(orig, w int) (int64, bool) {
+		v := t.row(w)[orig]
+		return v, v != math.MaxInt64
+	})
+	if err != nil {
+		return nil, err
+	}
+	if t.cert.KthMedian2 == 0 && len(medians2) > 0 {
+		// The run resolved everything (or stopped by exhaustion): the
+		// certificate is exact, anchored on the reported worst winner.
+		t.cert.KthMedian2 = medians2[len(medians2)-1]
+	}
+	res.Approx = &t.cert
+	if theta > 0 {
+		tTAApproxRuns.Inc()
+		if t.cert.EarlyStop {
+			tTAApproxEarly.Inc()
+		}
 	}
 	return res, nil
 }
 
-// thresholdTopK is the shared TA loop. theta == 0 runs the exact strict
-// stopping rule and nothing else; theta > 0 additionally stops early once the
-// k-th best resolved median is ≤ (1+θ)·τ. The exact test is evaluated first
-// each iteration, so a θ = 0 run takes exactly the exact engine's branch
-// sequence.
-func thresholdTopK(ctx context.Context, rankings []*ranking.PartialRanking, k int, theta float64) (*Result, ApproxCertificate, error) {
-	cert := ApproxCertificate{Theta: theta, Ratio: 1}
-	if len(rankings) == 0 {
-		return nil, cert, fmt.Errorf("topk: no input rankings")
-	}
-	if err := ranking.CheckSameDomain(rankings...); err != nil {
-		return nil, cert, err
-	}
-	n := rankings[0].N()
-	if k < 0 || k > n {
-		return nil, cert, fmt.Errorf("topk: k=%d out of range [0,%d]", k, n)
-	}
-	m := len(rankings)
-	needed := (m + 1) / 2
-
-	acc := telemetry.NewAccessAccountant(m)
-	cursors := make([]*Cursor, m)
-	frontier := make([]int64, m)
-	for i, r := range rankings {
-		cursors[i] = newCursorAt(r, acc, i)
-		frontier[i] = cursors[i].Peek2()
-	}
-
-	med := make([]int64, n)
-	for e := range med {
-		med[e] = math.MaxInt64
-	}
-	positions := make([]int64, m)
-	kSmall := &int64MaxHeap{}
-	resolved := 0
-
-	var derr error
-	sctx, sp := telemetry.Start(ctx, "topk.ta")
-	if theta > 0 {
-		sp.SetAttr("theta_milli", int64(theta*1000))
-	}
-	telemetry.Do(sctx, "kernel", "ta", func(ctx context.Context) {
-		if k == 0 {
-			return
-		}
-		next := 0
-		for it := 0; resolved < n; it++ {
-			if it%ctxCheckStride == 0 {
-				if derr = ctx.Err(); derr != nil {
-					return
-				}
-			}
-			if resolved >= k {
-				tau := kthSmallest(frontier, needed)
-				kth := kSmall.Peek()
-				// Threshold test: with k exact medians strictly below the best
-				// median any unseen element could achieve, the answer is final
-				// (strictness sidesteps ties, which break by element ID).
-				if kth < tau {
-					cert.Threshold2, cert.KthMedian2 = tau, kth
-					return
-				}
-				// θ-relaxed test: the k-th best resolved median is within a
-				// (1+θ) factor of τ, so any element the run has not resolved
-				// can beat a reported winner by at most that factor.
-				if theta > 0 && tau < math.MaxInt64 &&
-					float64(kth) <= (1+theta)*float64(tau) {
-					cert.Threshold2, cert.KthMedian2 = tau, kth
-					cert.EarlyStop = true
-					if tau > 0 && kth > tau {
-						cert.Ratio = float64(kth) / float64(tau)
-					}
-					return
-				}
-			}
-			// Round-robin sorted access over the non-exhausted lists.
-			i := -1
-			for tries := 0; tries < m; tries++ {
-				c := next
-				next = (next + 1) % m
-				if frontier[c] < math.MaxInt64 {
-					i = c
-					break
-				}
-			}
-			if i < 0 {
-				return // all lists exhausted: every element resolved
-			}
-			e, ok := cursors[i].Next()
-			if !ok {
-				frontier[i] = math.MaxInt64
-				continue
-			}
-			frontier[i] = cursors[i].Peek2()
-			if med[e.Elem] != math.MaxInt64 {
-				continue // already resolved via random access
-			}
-			// Random-access the element's position in every other list.
-			positions[i] = e.Pos2
-			for j, r := range rankings {
-				if j == i {
-					continue
-				}
-				acc.Random(j)
-				positions[j] = r.Pos2(e.Elem)
-			}
-			med[e.Elem] = kthSmallest(positions, needed)
-			resolved++
-			heap.Push(kSmall, med[e.Elem])
-			if kSmall.Len() > k {
-				heap.Pop(kSmall)
-			}
-		}
-	})
-	sp.End()
-	if derr != nil {
-		return nil, cert, derr
-	}
-
-	winners, medians2 := selectTopK(med, k)
-	top, err := ranking.TopKList(n, k, winners)
-	if err != nil {
-		return nil, cert, err
-	}
-	if cert.KthMedian2 == 0 && len(medians2) > 0 {
-		// The run resolved everything (or stopped by exhaustion): the
-		// certificate is exact, anchored on the reported worst winner.
-		cert.KthMedian2 = medians2[len(medians2)-1]
-	}
-	stats := statsFromReport(acc.Report())
-	return &Result{
-		TopK:     top,
-		Winners:  winners,
-		Medians2: medians2,
-		Stats:    stats,
-	}, cert, nil
+// taRun is the state of one TA run. Resolved elements keep their full
+// position rows in one flat arena, so a list death recomputes every resolved
+// median over the surviving columns without touching a source.
+type taRun struct {
+	*survivors
+	theta    float64
+	cert     ApproxCertificate
+	needed   int     // (alive+1)/2, the survivor median index
+	frontier []int64 // per original list; dead and exhausted lists sit at MaxInt64
+	rowOf    []int   // per element: its row in rows, -1 while unresolved
+	rows     []int64 // m positions per resolved element, MaxInt64 = unknown
+	med      []int64 // per element: lower median over the alive lists
+	kSmall   int64MaxHeap
+	resolved int
+	rrNext   int
+	scratch  []int64
 }
 
-// selectTopK ranks resolved elements by (median, element ID) and returns the
-// first k with their doubled medians.
-func selectTopK(med []int64, k int) (winners []int, medians2 []int64) {
-	type cand struct {
-		e    int
-		med2 int64
+func (t *taRun) row(e int) []int64 {
+	r := t.rowOf[e] * t.m
+	return t.rows[r : r+t.m]
+}
+
+func (t *taRun) drive(ctx context.Context) error {
+	if t.k == 0 {
+		return nil
 	}
-	cands := make([]cand, 0, len(med))
-	for e, v := range med {
-		if v < math.MaxInt64 {
-			cands = append(cands, cand{e, v})
+	for t.resolved < t.n {
+		if err := ctxErr(ctx); err != nil {
+			return err
+		}
+		if t.resolved >= t.k && t.stop() {
+			return nil
+		}
+		// Round-robin sorted access over the alive, non-exhausted lists.
+		i := -1
+		for tries := 0; tries < t.m; tries++ {
+			c := t.rrNext
+			t.rrNext = (t.rrNext + 1) % t.m
+			if t.alive[c] && t.frontier[c] < math.MaxInt64 {
+				i = c
+				break
+			}
+		}
+		if i < 0 {
+			// Every survivor's scan has ended. Lists that merely truncated
+			// still answer random accesses, so resolve the undiscovered rest
+			// by identity.
+			return t.resolveRest(ctx)
+		}
+		e, ok, err := t.sources[i].Next(ctx)
+		if err != nil {
+			t.frontier[i] = math.MaxInt64
+			if err := t.kill(i, err, t.recompute); err != nil {
+				return err
+			}
+			continue
+		}
+		if !ok {
+			t.frontier[i] = math.MaxInt64
+			continue
+		}
+		t.frontier[i] = t.sources[i].Peek2()
+		if t.med[e.Elem] != math.MaxInt64 {
+			continue // already resolved via random access
+		}
+		if err := t.resolve(ctx, e.Elem, i, e.Pos2); err != nil {
+			return err
 		}
 	}
-	sort.Slice(cands, func(a, b int) bool {
-		if cands[a].med2 != cands[b].med2 {
-			return cands[a].med2 < cands[b].med2
+	return nil
+}
+
+// stop runs the stopping tests against τ, the needed-th smallest frontier: a
+// lower bound on the doubled median of any element the run has not resolved
+// (dead and exhausted lists sit at MaxInt64, so this is the needed-th
+// smallest alive frontier).
+func (t *taRun) stop() bool {
+	tau := t.kth(t.frontier)
+	kth := t.kSmall.Peek()
+	// Threshold test: with k exact medians strictly below the best median any
+	// unseen element could achieve, the answer is final (strictness sidesteps
+	// ties, which break by element ID).
+	if kth < tau {
+		t.cert.Threshold2, t.cert.KthMedian2 = tau, kth
+		return true
+	}
+	// θ-relaxed test: the k-th best resolved median is within a (1+θ) factor
+	// of τ, so any element the run has not resolved can beat a reported
+	// winner by at most that factor.
+	if t.theta > 0 && tau < math.MaxInt64 && float64(kth) <= (1+t.theta)*float64(tau) {
+		t.cert.Threshold2, t.cert.KthMedian2 = tau, kth
+		t.cert.EarlyStop = true
+		if tau > 0 && kth > tau {
+			t.cert.Ratio = float64(kth) / float64(tau)
 		}
-		return cands[a].e < cands[b].e
-	})
-	if len(cands) > k {
-		cands = cands[:k]
+		return true
 	}
-	winners = make([]int, 0, len(cands))
-	for _, c := range cands {
-		winners = append(winners, c.e)
-		medians2 = append(medians2, c.med2)
+	return false
+}
+
+// resolve random-accesses elem's position in every alive list (except
+// seedList when its position arrived by sorted access) and records the
+// element's exact lower median over the survivors. A list dying
+// mid-resolution is killed and the resolution continues over the rest.
+func (t *taRun) resolve(ctx context.Context, elem, seedList int, seedPos2 int64) error {
+	base := len(t.rows)
+	for j := 0; j < t.m; j++ {
+		t.rows = append(t.rows, math.MaxInt64)
 	}
-	return winners, medians2
+	if seedList >= 0 {
+		t.rows[base+seedList] = seedPos2
+	}
+	for j := 0; j < t.m; j++ {
+		if j == seedList || !t.alive[j] {
+			continue
+		}
+		v, err := t.sources[j].Pos2(ctx, elem)
+		if err != nil {
+			t.frontier[j] = math.MaxInt64
+			if err := t.kill(j, err, t.recompute); err != nil {
+				return err
+			}
+			continue
+		}
+		t.rows[base+j] = v
+	}
+	t.rowOf[elem] = base / t.m
+	t.resolved++
+	t.track(elem)
+	return nil
+}
+
+// resolveRest resolves, by random access, every element no sorted scan
+// revealed.
+func (t *taRun) resolveRest(ctx context.Context) error {
+	for e := 0; e < t.n && t.resolved < t.n; e++ {
+		if err := ctxErr(ctx); err != nil {
+			return err
+		}
+		if t.med[e] != math.MaxInt64 {
+			continue
+		}
+		if err := t.resolve(ctx, e, -1, 0); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// track computes resolved element e's median over the alive lists and offers
+// it to the heap of the k smallest.
+func (t *taRun) track(e int) {
+	vals := t.scratch[:0]
+	for j, v := range t.row(e) {
+		if t.alive[j] {
+			vals = append(vals, v)
+		}
+	}
+	t.scratch = vals
+	slices.Sort(vals)
+	t.med[e] = vals[t.needed-1]
+	heap.Push(&t.kSmall, t.med[e])
+	if t.kSmall.Len() > t.k {
+		heap.Pop(&t.kSmall)
+	}
+}
+
+// kth returns the needed-th smallest of xs, sorting a copy in the scratch
+// buffer.
+func (t *taRun) kth(xs []int64) int64 {
+	t.scratch = append(t.scratch[:0], xs...)
+	slices.Sort(t.scratch)
+	return t.scratch[t.needed-1]
+}
+
+// recompute follows a list death: it recomputes every resolved median over
+// the survivors. The recomputation is exact: a resolved element's row holds
+// its true position in every list that was alive at resolution time, a
+// superset of the lists alive now.
+func (t *taRun) recompute() {
+	t.needed = (len(t.aliveIdx) + 1) / 2
+	t.kSmall = t.kSmall[:0]
+	for e, r := range t.rowOf {
+		if r >= 0 {
+			t.track(e)
+		}
+	}
 }

@@ -82,8 +82,9 @@ func TestThresholdTopKAccessProfile(t *testing.T) {
 }
 
 // TestOptimalityRatioAtLeastOne checks MEDRANK's probes against the
-// certificate lower bound through the AccessStats helper: the ratio is >= 1
-// whenever the bound is defined, and 0 when it is not.
+// certificate lower bound through the cost pair at cR = 0 (MEDRANK makes no
+// random access, so its middleware cost is its probe count): the ratio is
+// >= 1 whenever the bound is defined, and 0 when it is not.
 func TestOptimalityRatioAtLeastOne(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 30; trial++ {
@@ -98,16 +99,19 @@ func TestOptimalityRatioAtLeastOne(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lb := CertificateLowerBound(in, res.Winners)
+		lb := CertificateLowerBoundCost(in, res.Winners, 1, 0)
 		if lb <= 0 {
 			t.Fatalf("certificate bound %d for k=%d", lb, k)
 		}
-		if ratio := res.Stats.OptimalityRatio(lb); ratio < 1 {
+		if cost := res.Stats.MiddlewareCost(1, 0); cost != res.Stats.Total {
+			t.Fatalf("MEDRANK cost at cR=0 is %d, want its %d probes", cost, res.Stats.Total)
+		}
+		if ratio := res.Stats.CostOptimalityRatio(1, 0, lb); ratio < 1 {
 			t.Errorf("optimality ratio %v < 1 (probes %d, bound %d)", ratio, res.Stats.Total, lb)
 		}
 	}
 	var st AccessStats
-	if st.OptimalityRatio(0) != 0 {
+	if st.CostOptimalityRatio(1, 0, 0) != 0 {
 		t.Error("ratio with zero bound should be 0")
 	}
 }

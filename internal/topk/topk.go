@@ -1,22 +1,31 @@
-// Package topk implements the database-friendly top-k aggregation engine of
-// Section 6 of the paper: the MEDRANK algorithm of Fagin, Kumar, and
-// Sivakumar (SIGMOD 2003) generalized to partial rankings, under the
-// sequential-access model in which it is instance-optimal in the sense of
-// Fagin, Lotem, and Naor.
+// Package topk implements the database-friendly top-k aggregation engines of
+// Section 6 of the paper and of Fagin, Lotem, and Naor's middleware family:
+// MEDRANK (Fagin, Kumar, and Sivakumar, SIGMOD 2003) generalized to partial
+// rankings, the Threshold Algorithm (TA) with its θ-approximate variant, and
+// the no-random-access (NRA) and combined (CA) algorithms, all computing the
+// lower-median top-k with the paper's tie semantics.
 //
-// Each input partial ranking is exposed as a cursor that yields elements in
-// non-decreasing position order (a database index scan: one probe reveals
-// the next element and its bucket position). The engine reads as few entries
-// as it can while still certifying the exact median top-k — "as few elements
-// of each partial ranking as are necessary to determine the winner(s)".
-// Every probe is counted, so experiments can compare the access cost against
-// a full scan and against a per-instance certificate lower bound.
+// Every engine is written once, over faults.Source: a list that yields
+// entries in non-decreasing position order (a database index scan: one probe
+// reveals the next element and its bucket position) and answers random
+// accesses by element identity. In-memory rankings enter through
+// NewListSource or ListSources; fallible pipelines wrap those sources with
+// the injectors and retriers of internal/faults. The engines read as few
+// entries as they can while still certifying the answer — "as few elements
+// of each partial ranking as are necessary to determine the winner(s)" —
+// and every access is counted, so experiments can compare the access cost
+// against a full scan and against a per-instance certificate lower bound.
+//
+// The engines share one survivor layer (survivors.go): input validation,
+// list deaths and the slot numbering of the surviving lists, the replay logs
+// a certification core is rebuilt from after a death, the Degraded
+// certificate, and Result assembly. Run dispatches a Spec to the engines;
+// ParseAlgo is the one place an engine name is parsed.
 package topk
 
 import (
-	"context"
-	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/faults"
@@ -42,81 +51,9 @@ var (
 
 // Entry is one probed item of a list: an element and its (doubled) bucket
 // position in that list. It is the access layer's wire type, aliased so the
-// infallible cursors here and the fallible sources of internal/faults share
-// one value type.
+// in-memory list sources here and the fallible sources of internal/faults
+// share one value type.
 type Entry = faults.Entry
-
-// Cursor provides sequential access to one partial ranking: entries arrive
-// in non-decreasing position order, ties within a bucket by ascending
-// element ID. Next returns false when the list is exhausted. Every
-// successful probe is charged to the cursor's access accountant — engines
-// that drive several cursors share one accountant, so a whole run's
-// sequential, bucket-granular, and random accesses land in a single
-// telemetry.AccessReport.
-type Cursor struct {
-	pr     *ranking.PartialRanking
-	bucket int
-	offset int
-	acc    *telemetry.AccessAccountant
-	list   int
-}
-
-// NewCursor opens a standalone sequential cursor over a partial ranking,
-// with its own single-list access accountant.
-func NewCursor(pr *ranking.PartialRanking) *Cursor {
-	return &Cursor{pr: pr, acc: telemetry.NewAccessAccountant(1)}
-}
-
-// newCursorAt opens a cursor that charges its probes to list `list` of a
-// shared accountant.
-func newCursorAt(pr *ranking.PartialRanking, acc *telemetry.AccessAccountant, list int) *Cursor {
-	return &Cursor{pr: pr, acc: acc, list: list}
-}
-
-// Next probes the next entry. Every successful probe is counted.
-func (c *Cursor) Next() (Entry, bool) {
-	for c.bucket < c.pr.NumBuckets() {
-		b := c.pr.Bucket(c.bucket)
-		if c.offset < len(b) {
-			e := Entry{Elem: b[c.offset], Pos2: c.pr.BucketPos2(c.bucket)}
-			c.offset++
-			c.acc.Sequential(c.list)
-			return e, true
-		}
-		c.bucket++
-		c.offset = 0
-	}
-	return Entry{}, false
-}
-
-// Peek2 returns the doubled position of the next unprobed entry (the
-// frontier), or math.MaxInt64 when exhausted. Peeking is free: a sequential
-// scan knows it has not yet passed a given position.
-func (c *Cursor) Peek2() int64 {
-	b, off := c.bucket, c.offset
-	for b < c.pr.NumBuckets() {
-		if off < c.pr.BucketSize(b) {
-			return c.pr.BucketPos2(b)
-		}
-		b++
-		off = 0
-	}
-	return math.MaxInt64
-}
-
-// Probes returns how many entries this cursor has yielded.
-func (c *Cursor) Probes() int { return int(c.acc.SequentialIn(c.list)) }
-
-// seenIn reports whether element e has already been probed by this cursor.
-// Entries arrive in bucket order, within a bucket by ascending element ID.
-func (c *Cursor) seenIn(e int) bool {
-	b := c.pr.BucketOf(e)
-	if b != c.bucket {
-		return b < c.bucket
-	}
-	bucket := c.pr.Bucket(b)
-	return sort.SearchInts(bucket, e) < c.offset
-}
 
 // AccessStats records the access cost of a run under the middleware cost
 // model of Fagin, Lotem, and Naor: sequential accesses (sorted scans),
@@ -156,22 +93,6 @@ func (st AccessStats) MiddlewareCost(cs, cr int) int {
 	return cs*st.Total + cr*st.Random
 }
 
-// OptimalityRatio divides the run's total accesses (sequential plus random)
-// by a per-instance lower bound such as CertificateLowerBound.
-//
-// Deprecated: this is the equal-weights special case — it prices a random
-// access the same as a sequential probe, contradicting the FLN cost model
-// that MiddlewareCost encodes, and divides by a sequential-only bound. It is
-// kept for comparability with historical numbers; new code should use
-// CostOptimalityRatio with a CertificateLowerBoundCost bound at the same
-// (cs, cr) weights.
-func (st AccessStats) OptimalityRatio(lowerBound int) float64 {
-	if lowerBound <= 0 {
-		return 0
-	}
-	return float64(st.Total+st.Random) / float64(lowerBound)
-}
-
 // CostOptimalityRatio divides the run's middleware cost at weights (cs, cr)
 // by a cost-aware per-instance lower bound — CertificateLowerBoundCost at
 // the SAME weights, or the ratio compares incommensurable currencies. A
@@ -188,10 +109,17 @@ func (st AccessStats) CostOptimalityRatio(cs, cr, lowerBound int) float64 {
 
 // statsFromReport converts an accountant snapshot into AccessStats.
 func statsFromReport(r telemetry.AccessReport) AccessStats {
-	st := AccessStats{
-		PerList:           make([]int, len(r.PerList)),
-		BucketProbes:      make([]int, len(r.BucketPerList)),
-		RandomPerList:     make([]int, len(r.RandomPerList)),
+	ints := func(xs []int64) []int {
+		out := make([]int, len(xs))
+		for i, v := range xs {
+			out[i] = int(v)
+		}
+		return out
+	}
+	return AccessStats{
+		PerList:           ints(r.PerList),
+		BucketProbes:      ints(r.BucketPerList),
+		RandomPerList:     ints(r.RandomPerList),
 		Total:             int(r.Sequential),
 		MaxDepth:          int(r.MaxDepth),
 		TotalBucketProbes: int(r.BucketIOs),
@@ -199,16 +127,6 @@ func statsFromReport(r telemetry.AccessReport) AccessStats {
 		Failed:            int(r.Failed),
 		Retried:           int(r.Retried),
 	}
-	for i, v := range r.PerList {
-		st.PerList[i] = int(v)
-	}
-	for i, v := range r.BucketPerList {
-		st.BucketProbes[i] = int(v)
-	}
-	for i, v := range r.RandomPerList {
-		st.RandomPerList[i] = int(v)
-	}
-	return st
 }
 
 // Policy selects the probe-scheduling strategy.
@@ -252,8 +170,9 @@ type Result struct {
 	// carries which lists were lost, the accesses wasted on them, and a
 	// conservative per-winner quality certificate. Nil on fault-free runs.
 	Degraded *Degraded
-	// Approx is non-nil when the run came from ThresholdTopKApprox: the FLN
-	// (1+θ) early-stop certificate. Nil on exact engine paths.
+	// Approx is non-nil on TA runs: the FLN (1+θ) early-stop certificate.
+	// At θ = 0 it certifies an exact answer (Ratio 1, EarlyStop false). Nil
+	// on the other engines.
 	Approx *ApproxCertificate
 	// Intervals2 is non-nil on NRA/CA runs: per winner, the certified doubled
 	// median interval [best, worst] at stop time. The winner SET is exact even
@@ -266,139 +185,6 @@ type Result struct {
 	// buffers on NRA/CA runs — the engine's working-set bound, which interval
 	// clearing keeps below n. Zero on other engines.
 	BufferPeak int
-}
-
-// medrankRun carries the certification state of one MEDRANK run; the engine
-// lives in run.go. The certification core is access-agnostic: it sees lists
-// only through frontier positions and the seenIn predicate, so the same core
-// drives the infallible cursor path (MedRank) and the fallible source path
-// (MedRankOver), which rebuilds a fresh run when a list dies.
-type medrankRun struct {
-	n, m, k, needed int
-	cursors         []*Cursor
-	seenIn          func(list, e int) bool // has list already yielded e?
-	frontier        []int64                // per list: doubled position of next unprobed entry
-	seen            [][]int64              // per element: probed doubled positions
-	exactMed        []int64                // per element: exact doubled median, MaxInt64 if unknown
-	exactCount      int
-	probedDistinct  int
-	pending         []int         // probed, not yet exact or cleared
-	inPend          []bool        // membership in pending
-	cleared         []bool        // provably outside the top k
-	kSmall          *int64MaxHeap // k smallest exact medians (max-heap)
-	bucketGranular  bool          // *Buckets policies: one probe = one bucket
-	acc             *telemetry.AccessAccountant
-}
-
-// MedRank runs the streaming median-rank top-k aggregation over the inputs
-// with the given probe policy. It returns the exact lower-median top-k list
-// while probing only a prefix of each list — enough to certify the answer.
-func MedRank(rankings []*ranking.PartialRanking, k int, policy Policy) (*Result, error) {
-	return MedRankContext(context.Background(), rankings, k, policy)
-}
-
-// MedRankContext is MedRank under a caller context: the context's pprof
-// labels and spans attach to the certification kernel (so a db.TopK span
-// covers the engine it drove), and cancellation or deadline expiry aborts
-// the run between probes with ctx.Err(). The in-memory cursors themselves
-// cannot block; for sources that can, see MedRankOver.
-func MedRankContext(ctx context.Context, rankings []*ranking.PartialRanking, k int, policy Policy) (*Result, error) {
-	if len(rankings) == 0 {
-		return nil, fmt.Errorf("topk: no input rankings")
-	}
-	if err := ranking.CheckSameDomain(rankings...); err != nil {
-		return nil, err
-	}
-	n := rankings[0].N()
-	if k < 0 || k > n {
-		return nil, fmt.Errorf("topk: k=%d out of range [0,%d]", k, n)
-	}
-	m := len(rankings)
-
-	acc := telemetry.NewAccessAccountant(m)
-	run := &medrankRun{
-		n: n, m: m, k: k,
-		needed:   (m + 1) / 2, // index of the lower median
-		cursors:  make([]*Cursor, m),
-		frontier: make([]int64, m),
-		seen:     make([][]int64, n),
-		exactMed: make([]int64, n),
-		inPend:   make([]bool, n),
-		cleared:  make([]bool, n),
-		kSmall:   &int64MaxHeap{},
-		acc:      acc,
-	}
-	for e := 0; e < n; e++ {
-		run.exactMed[e] = math.MaxInt64
-	}
-	for i, r := range rankings {
-		run.cursors[i] = newCursorAt(r, acc, i)
-		run.frontier[i] = run.cursors[i].Peek2()
-	}
-	run.seenIn = func(list, e int) bool { return run.cursors[list].seenIn(e) }
-
-	pickMerge := func() int {
-		best, bestPos := -1, int64(math.MaxInt64)
-		for i, f := range run.frontier {
-			if f < bestPos {
-				best, bestPos = i, f
-			}
-		}
-		return best
-	}
-	next := 0
-	pickRR := func() int {
-		for tries := 0; tries < m; tries++ {
-			i := next
-			next = (next + 1) % m
-			if run.frontier[i] < math.MaxInt64 {
-				return i
-			}
-		}
-		return -1
-	}
-	var pick func() int
-	switch policy {
-	case GlobalMerge:
-		pick = pickMerge
-	case RoundRobin:
-		pick = pickRR
-	case GlobalMergeBuckets:
-		run.bucketGranular = true
-		pick = pickMerge
-	case RoundRobinBuckets:
-		run.bucketGranular = true
-		pick = pickRR
-	default:
-		return nil, fmt.Errorf("topk: unknown policy %d", policy)
-	}
-	// With telemetry enabled the whole certification loop carries the pprof
-	// label "kernel"="medrank", so CPU profiles attribute its samples (under
-	// the caller's own labels), and the run is timed as a trace span.
-	var derr error
-	sctx, sp := telemetry.Start(ctx, "topk.medrank")
-	telemetry.Do(sctx, "kernel", "medrank", func(ctx context.Context) {
-		derr = run.drive(ctx, pick)
-	})
-	sp.End()
-	if derr != nil {
-		return nil, derr
-	}
-
-	winners, medians2 := run.finalTopK()
-	top, err := ranking.TopKList(n, k, winners)
-	if err != nil {
-		return nil, err
-	}
-	stats := statsFromReport(acc.Report())
-	tMedRankRuns.Inc()
-	tMedRankProbes.Add(int64(stats.Total))
-	return &Result{
-		TopK:     top,
-		Winners:  winners,
-		Medians2: medians2,
-		Stats:    stats,
-	}, nil
 }
 
 // int64MaxHeap is a max-heap of int64 used to track the k smallest exact
@@ -434,29 +220,20 @@ func FullScanCost(rankings []*ranking.PartialRanking) AccessStats {
 	return st
 }
 
-// CertificateLowerBound returns a conservative lower bound on the total
-// number of sequential probes ANY correct deterministic algorithm must
-// spend on this instance: for each winner w, the algorithm has to observe w
-// in at least ceil(m/2) lists to pin its median, and observing w in list i
-// costs at least the number of entries that precede w there (sequential
-// access cannot skip). The cheapest choice is the ceil(m/2) lists where w is
-// shallowest; the bound takes the most expensive winner. The
-// instance-optimality ratio reported by experiment E7 is MEDRANK probes
-// divided by this bound.
-func CertificateLowerBound(rankings []*ranking.PartialRanking, winners []int) int {
-	return CertificateLowerBoundCost(rankings, winners, 1, 0)
-}
-
-// CertificateLowerBoundCost generalizes CertificateLowerBound to the FLN
-// middleware cost model: learning a winner's position in list i costs at
-// least min(cs·depth_i, cr) — a sequential scan down to its bucket or a
-// single random access, whichever is cheaper on that list. cr <= 0 selects
-// the NRA regime (random access unavailable), degenerating to the
-// sequential-only bound; CertificateLowerBound is exactly this at
-// (cs, cr) = (1, 0). A winner outside a list's domain contributes nothing
-// there: no access of either kind can observe it, so it is skipped instead
-// of indexed (the unconditional BucketOf it replaced panicked on such
-// inputs).
+// CertificateLowerBoundCost returns a conservative lower bound on the FLN
+// middleware cost ANY correct deterministic algorithm must spend on this
+// instance at weights (cs, cr). For each winner w, the algorithm has to learn
+// w's position in at least ceil(m/2) lists to pin its median, and learning it
+// in list i costs at least min(cs·depth_i, cr) — a sequential scan down to
+// its bucket (sequential access cannot skip) or a single random access,
+// whichever is cheaper on that list. The cheapest choice is the ceil(m/2)
+// lists where w is cheapest; the bound takes the most expensive winner.
+//
+// cr <= 0 selects the NRA regime (random access unavailable): at
+// (cs, cr) = (1, 0) it is the sequential-probe bound of the paper, the
+// denominator of experiment E7's instance-optimality ratio. A winner outside
+// a list's domain contributes nothing there: no access of either kind can
+// observe it, so it is skipped instead of indexed.
 func CertificateLowerBoundCost(rankings []*ranking.PartialRanking, winners []int, cs, cr int) int {
 	m := len(rankings)
 	needed := (m + 1) / 2
@@ -489,4 +266,42 @@ func CertificateLowerBoundCost(rankings []*ranking.PartialRanking, winners []int
 		}
 	}
 	return best
+}
+
+// kthSmallest returns the k-th smallest (1-based) of xs without modifying
+// it. k must be in [1, len(xs)].
+func kthSmallest(xs []int64, k int) int64 {
+	cp := append([]int64(nil), xs...)
+	slices.Sort(cp)
+	return cp[k-1]
+}
+
+// selectTopK ranks the elements with a known median (med < MaxInt64) by
+// (median, element ID) and returns the first k with their doubled medians.
+func selectTopK(med []int64, k int) (winners []int, medians2 []int64) {
+	type cand struct {
+		e    int
+		med2 int64
+	}
+	cands := make([]cand, 0, len(med))
+	for e, v := range med {
+		if v < math.MaxInt64 {
+			cands = append(cands, cand{e, v})
+		}
+	}
+	sort.Slice(cands, func(a, b int) bool {
+		if cands[a].med2 != cands[b].med2 {
+			return cands[a].med2 < cands[b].med2
+		}
+		return cands[a].e < cands[b].e
+	})
+	if len(cands) > k {
+		cands = cands[:k]
+	}
+	winners = make([]int, 0, len(cands))
+	for _, c := range cands {
+		winners = append(winners, c.e)
+		medians2 = append(medians2, c.med2)
+	}
+	return winners, medians2
 }

@@ -1,13 +1,16 @@
 package topk
 
 import (
+	"context"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/aggregate"
 	"repro/internal/randrank"
 	"repro/internal/ranking"
+	"repro/internal/telemetry"
 )
 
 var policies = []struct {
@@ -18,53 +21,48 @@ var policies = []struct {
 	{"RoundRobin", RoundRobin},
 }
 
-func TestCursorYieldsPositionOrder(t *testing.T) {
+func TestListSourceYieldsPositionOrder(t *testing.T) {
 	pr := ranking.MustFromBuckets(5, [][]int{{2, 4}, {0}, {1, 3}})
-	c := NewCursor(pr)
+	acc := telemetry.NewAccessAccountant(1)
+	s := NewListSource(pr, acc, 0)
+	ctx := context.Background()
 	var elems []int
 	var prev int64 = -1
 	for {
-		e, ok := c.Next()
+		if p := s.Peek2(); p < prev {
+			t.Fatalf("frontier %d below the last position %d", p, prev)
+		}
+		e, ok, err := s.Next(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !ok {
 			break
 		}
 		if e.Pos2 < prev {
 			t.Fatalf("positions decreased: %d after %d", e.Pos2, prev)
 		}
+		if e.Pos2 != pr.Pos2(e.Elem) {
+			t.Fatalf("element %d yielded at %d, ranked at %d", e.Elem, e.Pos2, pr.Pos2(e.Elem))
+		}
 		prev = e.Pos2
 		elems = append(elems, e.Elem)
 	}
 	want := []int{2, 4, 0, 1, 3}
-	if len(elems) != len(want) {
-		t.Fatalf("cursor yielded %v", elems)
+	if !reflect.DeepEqual(elems, want) {
+		t.Fatalf("source order %v, want %v", elems, want)
 	}
-	for i := range want {
-		if elems[i] != want[i] {
-			t.Fatalf("cursor order %v, want %v", elems, want)
-		}
+	if got := acc.SequentialIn(0); got != 5 {
+		t.Errorf("sequential accesses = %d, want 5", got)
 	}
-	if c.Probes() != 5 {
-		t.Errorf("probes = %d, want 5", c.Probes())
+	if s.Peek2() != int64(math.MaxInt64) {
+		t.Errorf("exhausted Peek2 = %d, want MaxInt64", s.Peek2())
 	}
-	if c.Peek2() != int64(math.MaxInt64) {
-		t.Errorf("exhausted Peek2 = %d, want MaxInt64", c.Peek2())
+	if p, err := s.Pos2(ctx, 3); err != nil || p != pr.Pos2(3) {
+		t.Errorf("Pos2(3) = %d, %v; want %d", p, err, pr.Pos2(3))
 	}
-}
-
-func TestCursorSeenIn(t *testing.T) {
-	pr := ranking.MustFromBuckets(4, [][]int{{1, 3}, {0, 2}})
-	c := NewCursor(pr)
-	if c.seenIn(1) {
-		t.Error("element seen before any probe")
-	}
-	c.Next() // probes element 1
-	if !c.seenIn(1) || c.seenIn(3) || c.seenIn(0) {
-		t.Error("seenIn wrong after first probe")
-	}
-	c.Next() // probes element 3
-	c.Next() // probes element 0
-	if !c.seenIn(3) || !c.seenIn(0) || c.seenIn(2) {
-		t.Error("seenIn wrong after three probes")
+	if got := acc.Report().Random; got != 1 {
+		t.Errorf("random accesses = %d, want 1", got)
 	}
 }
 
@@ -161,7 +159,7 @@ func TestMedRankAccessBounds(t *testing.T) {
 			if res.Stats.Total > full.Total {
 				t.Fatalf("%s read %d > full scan %d", pol.name, res.Stats.Total, full.Total)
 			}
-			lb := CertificateLowerBound(in, res.Winners)
+			lb := CertificateLowerBoundCost(in, res.Winners, 1, 0)
 			if lb > res.Stats.Total {
 				t.Fatalf("%s certificate bound %d exceeds probes %d (n=%d m=%d k=%d)",
 					pol.name, lb, res.Stats.Total, n, m, k)

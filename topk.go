@@ -44,8 +44,8 @@ func MedRankContext(ctx context.Context, rankings []*PartialRanking, k int, poli
 }
 
 // Degraded annotates a MedRankResult whose input lists partially died
-// mid-query (fallible-source runs only); see the internal faults package and
-// topk.MedRankOver for building fallible pipelines.
+// mid-query (runs over sources that fail); see the internal faults package
+// and topk.MedRankOver for building fallible pipelines.
 type Degraded = topk.Degraded
 
 // FullScanCost returns the access cost of reading every list completely,
@@ -56,7 +56,8 @@ func FullScanCost(rankings []*PartialRanking) AccessStats {
 
 // CertificateLowerBound returns a conservative per-instance lower bound on
 // the probes any correct sequential-access algorithm needs to certify the
-// given winners.
+// given winners: the middleware cost bound at one unit per sequential probe
+// and no random access.
 func CertificateLowerBound(rankings []*PartialRanking, winners []int) int {
-	return topk.CertificateLowerBound(rankings, winners)
+	return topk.CertificateLowerBoundCost(rankings, winners, 1, 0)
 }
