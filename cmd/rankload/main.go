@@ -125,19 +125,13 @@ func (w mixWeights) pick(rng *rand.Rand) string {
 	return opNames[0] // unreachable
 }
 
-// quantileNs returns the exact q-quantile (nearest-rank) of sorted ns.
+// quantileNs returns the exact q-quantile of sorted ns: the
+// telemetry.NearestRank-th value, the rule the server's histograms use.
 func quantileNs(sorted []int64, q float64) int64 {
 	if len(sorted) == 0 {
 		return 0
 	}
-	idx := int(q*float64(len(sorted))+0.5) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
+	return sorted[telemetry.NearestRank(q, int64(len(sorted)))-1]
 }
 
 // endpointReport is one endpoint's latency summary in the artifact.
@@ -536,11 +530,7 @@ func (p *metricsPoller) stop() int {
 }
 
 // scrapeServerMetrics takes the final /metrics scrape and reduces it to the
-// report's server_metrics section: lint problems (the repo's own checker, so
-// a broken exposition shows up in the artifact), the total request count,
-// and per-endpoint latency quantiles with the tenant label summed away.
-// Summing is sound because cumulative histogram buckets with identical edges
-// add pointwise.
+// report's server_metrics section (see serverMetricsFrom).
 func scrapeServerMetrics(client *http.Client, base string, scrapes int) *serverMetrics {
 	resp, err := client.Get(base + "/metrics")
 	if err != nil {
@@ -551,7 +541,14 @@ func scrapeServerMetrics(client *http.Client, base string, scrapes int) *serverM
 	if err != nil || resp.StatusCode != http.StatusOK {
 		return nil
 	}
+	return serverMetricsFrom(body, scrapes)
+}
 
+// serverMetricsFrom reduces one exposition to lint problems (the repo's own
+// checker, so a broken exposition shows up in the artifact), the total
+// request count, and per-endpoint latency quantiles with the tenant label
+// summed away (see sumCumulative).
+func serverMetricsFrom(body []byte, scrapes int) *serverMetrics {
 	sm := &serverMetrics{Scrapes: scrapes, Endpoints: make(map[string]serverEndpointMetrics)}
 	for _, pr := range telemetry.LintExposition(bytes.NewReader(body)) {
 		sm.LintProblems = append(sm.LintProblems, pr.String())
@@ -559,7 +556,7 @@ func scrapeServerMetrics(client *http.Client, base string, scrapes int) *serverM
 	exp, _ := telemetry.ParseExposition(bytes.NewReader(body))
 
 	const latency = "rankserve_request_latency_ns"
-	buckets := make(map[string]map[float64]float64) // endpoint -> le -> count
+	buckets := make(map[string]map[string]map[float64]float64) // endpoint -> tenant -> le -> count
 	sums := make(map[string]float64)
 	counts := make(map[string]float64)
 	for _, s := range exp.Samples {
@@ -575,16 +572,21 @@ func scrapeServerMetrics(client *http.Client, base string, scrapes int) *serverM
 				continue
 			}
 			if buckets[ep] == nil {
-				buckets[ep] = make(map[float64]float64)
+				buckets[ep] = make(map[string]map[float64]float64)
 			}
-			buckets[ep][le] += s.Value
+			tenant := s.Labels["tenant"]
+			if buckets[ep][tenant] == nil {
+				buckets[ep][tenant] = make(map[float64]float64)
+			}
+			buckets[ep][tenant][le] = s.Value
 		case latency + "_sum":
 			sums[ep] += s.Value
 		case latency + "_count":
 			counts[ep] += s.Value
 		}
 	}
-	for ep, b := range buckets {
+	for ep, series := range buckets {
+		b := sumCumulative(series)
 		em := serverEndpointMetrics{
 			Count: counts[ep],
 			P50Ns: telemetry.QuantileFromBuckets(b, 0.50),
@@ -597,6 +599,32 @@ func scrapeServerMetrics(client *http.Client, base string, scrapes int) *serverM
 		sm.Endpoints[ep] = em
 	}
 	return sm
+}
+
+// sumCumulative adds cumulative bucket series over the union of their
+// edges. The server renders each series only up to its highest non-empty
+// bucket, so a series lacking an edge contributes its count at its largest
+// edge below it: a cumulative count is a step function of le.
+func sumCumulative(series map[string]map[float64]float64) map[float64]float64 {
+	sum := make(map[float64]float64)
+	for _, b := range series {
+		for le := range b {
+			sum[le] = 0
+		}
+	}
+	for _, b := range series {
+		edges := make([]float64, 0, len(b))
+		for le := range b {
+			edges = append(edges, le)
+		}
+		sort.Float64s(edges)
+		for le := range sum {
+			if i := sort.Search(len(edges), func(i int) bool { return edges[i] > le }); i > 0 {
+				sum[le] += b[edges[i-1]]
+			}
+		}
+	}
+	return sum
 }
 
 // worker is one client goroutine's state.

@@ -3,8 +3,11 @@ package main
 import (
 	"io"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/telemetry"
 )
 
 func TestParseMix(t *testing.T) {
@@ -59,6 +62,95 @@ func TestQuantileNs(t *testing.T) {
 	}
 	if got := quantileNs(nil, 0.5); got != 0 {
 		t.Errorf("quantileNs(nil) = %d, want 0", got)
+	}
+}
+
+// One quantile rule — nearest rank, ceil(q·n) — for the client's exact
+// quantiles, the server's in-process histogram (its bucket's upper edge,
+// clamped to the observed max, also after summing two series) and the
+// scrape-side bucket reading, so /stats and rankload -scrape agree.
+func TestQuantileRule(t *testing.T) {
+	seq := func(n int) []int64 {
+		out := make([]int64, n)
+		for i := range out {
+			out[i] = int64(i + 1)
+		}
+		return out
+	}
+	was := telemetry.Enabled()
+	telemetry.Enable()
+	defer func() {
+		if !was {
+			telemetry.Disable()
+		}
+	}()
+	for _, tc := range []struct {
+		name                    string
+		samples                 []int64 // sorted
+		q                       float64
+		exact, hist, fromBucket int64
+	}{
+		{"tail outlier p95", append([]int64{1, 1, 1, 1, 1, 1, 1, 1, 1}, 1000), 0.95, 1000, 1000, 1023},
+		{"tail outlier p99", append([]int64{1, 1, 1, 1, 1, 1, 1, 1, 1}, 1000), 0.99, 1000, 1000, 1023},
+		{"p95 of 31 is the 30th", seq(31), 0.95, 30, 31, 31},
+		{"p50 of 10", seq(10), 0.50, 5, 7, 7},
+		{"p99 of 100", seq(100), 0.99, 99, 100, 127},
+		{"p0 is the minimum", seq(10), 0, 1, 1, 1},
+	} {
+		if got := quantileNs(tc.samples, tc.q); got != tc.exact {
+			t.Errorf("%s: quantileNs = %d, want %d", tc.name, got, tc.exact)
+		}
+		r := telemetry.NewRegistry()
+		h, halves := r.Histogram("lat"), [2]*telemetry.Histogram{r.Histogram("a"), r.Histogram("b")}
+		for i, v := range tc.samples {
+			h.Observe(v)
+			halves[i%2].Observe(v)
+		}
+		merged := new(telemetry.Histogram)
+		merged.Merge(halves[0])
+		merged.Merge(halves[1])
+		if got, gotMerged := h.Quantile(tc.q), merged.Quantile(tc.q); got != tc.hist || gotMerged != tc.hist {
+			t.Errorf("%s: Histogram.Quantile = %d, merged %d, want %d", tc.name, got, gotMerged, tc.hist)
+		}
+		var b strings.Builder
+		if err := r.WritePrometheus(&b, ""); err != nil {
+			t.Fatal(err)
+		}
+		exp, _ := telemetry.ParseExposition(strings.NewReader(b.String()))
+		buckets, _, _, _ := exp.Histogram("lat", nil)
+		if got := telemetry.QuantileFromBuckets(buckets, tc.q); got != float64(tc.fromBucket) {
+			t.Errorf("%s: QuantileFromBuckets = %v, want %d", tc.name, got, tc.fromBucket)
+		}
+	}
+}
+
+// The scrape reduction sums per-tenant latency series that the server
+// renders only up to each series' highest non-empty bucket; a tenant with
+// only fast requests must still count at the slower tenant's edges.
+func TestServerMetricsSumsTruncatedSeries(t *testing.T) {
+	was := telemetry.Enabled()
+	telemetry.Enable()
+	defer func() {
+		if !was {
+			telemetry.Disable()
+		}
+	}()
+	r := telemetry.NewRegistry()
+	lat := r.HistogramVec("rankserve_request_latency_ns", "Latency.", "tenant", "endpoint")
+	for _, v := range []int64{100, 100, 100, 1000} {
+		lat.With("slow", "topk").Observe(v)
+	}
+	for i := 0; i < 20; i++ {
+		lat.With("fast", "topk").Observe(5) // rendered up to le="7" only
+	}
+	var b strings.Builder
+	if err := r.WritePrometheus(&b, ""); err != nil {
+		t.Fatal(err)
+	}
+	sm := serverMetricsFrom([]byte(b.String()), 1)
+	// 24 observations: the 23rd (p95) is a 100, in the le="127" bucket.
+	if got := sm.Endpoints["topk"]; got.Count != 24 || got.P50Ns != 7 || got.P95Ns != 127 || got.P99Ns != 1023 {
+		t.Errorf("topk server metrics = %+v, want count 24, p50 7, p95 127, p99 1023", got)
 	}
 }
 

@@ -85,9 +85,9 @@ func TestConcurrentMultiTenantAccess(t *testing.T) {
 	// The always-on endpoint tallies must account for every request issued
 	// (the seeding PUTs plus the workload), with zero errors.
 	var counted, errored int64
-	for _, es := range svc.endpoints {
-		counted += es.requests.Load()
-		errored += es.errors.Load()
+	for _, es := range statsOf(t, svc).Endpoints {
+		counted += es.Requests
+		errored += es.Errors
 	}
 	want := issued.Load() + tenants*catalogs
 	if counted != want {

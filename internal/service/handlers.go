@@ -244,10 +244,11 @@ type CacheStats struct {
 	HitRate float64 `json:"hit_rate"`
 }
 
-// EndpointStats is one endpoint's always-on request/error tally plus the
-// latency percentiles self-reported from the endpoint's base-2 histogram
-// (upper-bound quantiles; zero when telemetry is disabled, since latency
-// observations are gated).
+// EndpointStats is one endpoint's always-on request/error tally (summed from
+// rankserve_requests_total; errors are the non-200 statuses) plus latency
+// percentiles from the rankserve_request_latency_ns buckets of every tenant
+// added together (upper-bound quantiles; zero when telemetry is disabled,
+// since latency observations are gated).
 type EndpointStats struct {
 	Requests int64 `json:"requests"`
 	Errors   int64 `json:"errors"`
@@ -257,7 +258,9 @@ type EndpointStats struct {
 }
 
 // OverloadStats is the /stats view of the admission pipeline: always-on shed
-// tallies by reason, ladder degradations by level, and the live queue state.
+// tallies by reason (rankserve_shed_total) and ladder degradations by level
+// (rankserve_degraded_answers_total), summed over tenants, and the live
+// queue state.
 type OverloadStats struct {
 	ShedRateLimit int64 `json:"shed_rate_limit"`
 	ShedQueueFull int64 `json:"shed_queue_full"`
@@ -280,7 +283,6 @@ type StatsResponse struct {
 	DegradedQueries int64                    `json:"degraded_queries"`
 	Overload        OverloadStats            `json:"overload"`
 	Telemetry       telemetry.Snapshot       `json:"telemetry"`
-	Server          telemetry.Snapshot       `json:"server"`
 }
 
 // Handler returns the service's HTTP API mux, with the diagnostics surface
@@ -723,9 +725,6 @@ func (s *Service) handleTopK(_ http.ResponseWriter, r *http.Request) (any, *apiE
 	s.mMwCost.With(t.name, string(algo)).Add(int64(access.MiddlewareCost))
 	spanAttrsFromAccess(&eng, access, res.Degraded != nil)
 	eng.End()
-	if res.Degraded != nil {
-		s.degraded.Add(1)
-	}
 	if meta != nil {
 		meta.access = access
 		meta.degraded = res.Degraded != nil
@@ -762,8 +761,7 @@ func (s *Service) handleTopK(_ http.ResponseWriter, r *http.Request) (any, *apiE
 		if level == LadderApprox {
 			resp.Ladder.Theta = theta
 			resp.Ladder.Certificate = res.Approx
-			s.ladderApprox.Add(1)
-			s.mDegradedAns.With(t.name, LadderApprox).Inc()
+			s.mDegradedAns.With(t.name, LadderApprox).ForceInc()
 			if meta != nil {
 				meta.ladderLevel = LadderApprox
 			}
@@ -787,8 +785,7 @@ func (s *Service) finishStale(tenantName string, meta *requestMeta, resp TopKRes
 	resp.Access = AccessSummary{}
 	resp.Ladder = &LadderInfo{Level: LadderStale, AgeMs: age.Milliseconds(), Reason: reason}
 	resp.ElapsedNs = time.Since(start).Nanoseconds()
-	s.ladderStale.Add(1)
-	s.mDegradedAns.With(tenantName, LadderStale).Inc()
+	s.mDegradedAns.With(tenantName, LadderStale).ForceInc()
 	if meta != nil {
 		meta.ladderLevel = LadderStale
 	}
@@ -1010,24 +1007,23 @@ func (s *Service) handleAggregate(_ http.ResponseWriter, r *http.Request) (any, 
 
 func (s *Service) handleStats(_ http.ResponseWriter, _ *http.Request) (any, *apiError) {
 	tenants := s.tenantsSnapshot()
+	shed, ladder := sumBy(s.mShed, 1), sumBy(s.mDegradedAns, 1)
 	resp := StatsResponse{
-		UptimeNs:        time.Since(s.start).Nanoseconds(),
-		Tenants:         make([]TenantStats, 0, len(tenants)),
-		DegradedQueries: s.degraded.Load(),
+		UptimeNs: time.Since(s.start).Nanoseconds(),
+		Tenants:  make([]TenantStats, 0, len(tenants)),
 		Overload: OverloadStats{
-			ShedRateLimit: s.shedRate.Load(),
-			ShedQueueFull: s.shedQueue.Load(),
-			ShedDeadline:  s.shedDeadline.Load(),
-			ShedDraining:  s.shedDraining.Load(),
-			ApproxAnswers: s.ladderApprox.Load(),
-			StaleAnswers:  s.ladderStale.Load(),
+			ShedRateLimit: shed[ShedRateLimit],
+			ShedQueueFull: shed[ShedQueueFull],
+			ShedDeadline:  shed[ShedDeadline],
+			ShedDraining:  shed[ShedDraining],
+			ApproxAnswers: ladder[LadderApprox],
+			StaleAnswers:  ladder[LadderStale],
 			QueueDepth:    s.adm.queueLen(),
 			Inflight:      s.adm.inflight(),
 			EngineEwmaNs:  int64(s.adm.estimateNs()),
 		},
-		Endpoints: make(map[string]EndpointStats, len(s.endpoints)),
+		Endpoints: make(map[string]EndpointStats, len(endpointNames)),
 		Telemetry: telemetry.Default.Snapshot(),
-		Server:    s.reg.Snapshot(),
 	}
 	for _, t := range tenants {
 		hits, misses := t.cacheHits.Load(), t.cacheMisses.Load()
@@ -1048,17 +1044,38 @@ func (s *Service) handleStats(_ http.ResponseWriter, _ *http.Request) (any, *api
 	sortTenantStats(resp.Tenants)
 	cs := s.cache.Stats()
 	resp.Cache = CacheStats{Stats: cs, HitRate: cs.HitRate()}
-	for name, es := range s.endpoints {
-		hist := s.reg.Histogram("http." + name + ".latency_ns")
-		resp.Endpoints[name] = EndpointStats{
-			Requests: es.requests.Load(),
-			Errors:   es.errors.Load(),
-			P50Ns:    hist.Quantile(0.50),
-			P95Ns:    hist.Quantile(0.95),
-			P99Ns:    hist.Quantile(0.99),
+	s.mDegraded.Each(func(_ []string, c *telemetry.Counter) { resp.DegradedQueries += c.Value() })
+	for _, name := range endpointNames {
+		resp.Endpoints[name] = EndpointStats{}
+	}
+	s.mRequests.Each(func(v []string, c *telemetry.Counter) { // tenant, endpoint, status
+		es := resp.Endpoints[v[1]]
+		es.Requests += c.Value()
+		if v[2] != "200" {
+			es.Errors += c.Value()
 		}
+		resp.Endpoints[v[1]] = es
+	})
+	latency := make(map[string]*telemetry.Histogram)
+	s.mLatency.Each(func(v []string, h *telemetry.Histogram) { // tenant, endpoint
+		if latency[v[1]] == nil {
+			latency[v[1]] = new(telemetry.Histogram)
+		}
+		latency[v[1]].Merge(h)
+	})
+	for name, h := range latency {
+		es := resp.Endpoints[name]
+		es.P50Ns, es.P95Ns, es.P99Ns = h.Quantile(0.50), h.Quantile(0.95), h.Quantile(0.99)
+		resp.Endpoints[name] = es
 	}
 	return resp, nil
+}
+
+// sumBy totals a counter family's series grouped by the value of label i.
+func sumBy(v telemetry.CounterVec, i int) map[string]int64 {
+	out := make(map[string]int64)
+	v.Each(func(values []string, c *telemetry.Counter) { out[values[i]] += c.Value() })
+	return out
 }
 
 // sortTenantStats orders tenant rows by name for deterministic snapshots.

@@ -115,26 +115,32 @@ func (s *Service) logAccess(line accessLogLine) {
 	s.logMu.Unlock()
 }
 
-// tenantLabel bounds the tenant label: endpoints without a tenant path
-// segment ("/stats", "/healthz") share the "-" series.
-func tenantLabel(r *http.Request) string {
-	if t := r.PathValue("tenant"); t != "" {
-		return t
+// tenantLabel bounds the tenant label to tenants that exist: a request is
+// labeled with its {tenant} path segment only when that tenant exists or the
+// request succeeded (a tenant deleted by this very request). Everything
+// else — endpoints without a tenant segment ("/stats", "/healthz") and
+// requests naming tenants that do not exist — shares the "-" series, so
+// arbitrary path segments cannot mint series.
+func (s *Service) tenantLabel(r *http.Request, status int) string {
+	name := r.PathValue("tenant")
+	if name == "" {
+		return "-"
 	}
-	return "-"
+	if status != http.StatusOK {
+		if _, ok := s.tenantFor(name, false); !ok {
+			return "-"
+		}
+	}
+	return name
 }
 
 // instrument wraps an apiHandler with the service's per-request plumbing:
-// body cap, trace identity + sampling + root span, labeled metrics, latency
-// histograms (both the unlabeled service registry and the per-tenant labeled
-// family), always-on request/error tallies, the access log, and uniform JSON
-// rendering.
+// body cap, trace identity + sampling + root span, labeled metrics (one
+// recording site per fact; the request count is always on, so /stats works
+// with telemetry disabled), the access log, and uniform JSON rendering.
 func (s *Service) instrument(op string, h apiHandler) http.HandlerFunc {
-	hist := s.reg.Histogram("http." + op + ".latency_ns")
-	stats := s.endpoints[op]
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		stats.requests.Add(1)
 		s.inflight.Add(1)
 		defer s.inflight.Add(-1)
 		if r.Body != nil {
@@ -179,9 +185,8 @@ func (s *Service) instrument(op string, h apiHandler) http.HandlerFunc {
 		root.End()
 
 		elapsed := time.Since(start).Nanoseconds()
-		tenant := tenantLabel(r)
-		hist.Observe(elapsed)
-		s.mRequests.With(tenant, op, strconv.Itoa(status)).Inc()
+		tenant := s.tenantLabel(r, status)
+		s.mRequests.With(tenant, op, strconv.Itoa(status)).ForceInc()
 		s.mLatency.With(tenant, op).Observe(elapsed)
 		if meta.access.Sequential > 0 {
 			s.mSequential.With(tenant).Add(int64(meta.access.Sequential))
@@ -196,7 +201,7 @@ func (s *Service) instrument(op string, h apiHandler) http.HandlerFunc {
 			s.mCacheMisses.With(tenant).Add(misses)
 		}
 		if meta.degraded {
-			s.mDegraded.With(tenant).Inc()
+			s.mDegraded.With(tenant).ForceInc()
 		}
 		telemetry.FinishTrace(tctx, telemetry.TraceMeta{Tenant: tenant, Endpoint: op, Status: status})
 		s.logAccess(accessLogLine{
@@ -219,7 +224,6 @@ func (s *Service) instrument(op string, h apiHandler) http.HandlerFunc {
 		})
 
 		if apiErr != nil {
-			stats.errors.Add(1)
 			resp := ErrorResponse{
 				Error:   apiErr.msg,
 				Defects: apiErr.defects,
@@ -243,16 +247,12 @@ func (s *Service) instrument(op string, h apiHandler) http.HandlerFunc {
 }
 
 // handleMetrics renders the Prometheus text exposition: the service's
-// labeled families first, then the service registry's per-endpoint
-// instruments under rankserve_server_*, then the process-wide default
-// registry under rankties_*. The three prefixes cannot collide, so every
-// family appears exactly once per scrape.
+// rankserve_* families first, then the process-wide default registry under
+// rankties_*. The prefixes cannot collide, so every family appears exactly
+// once per scrape.
 func (s *Service) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := s.labeled.WritePrometheus(w); err != nil {
-		return
-	}
-	if err := s.reg.WritePrometheus(w, "rankserve_server_"); err != nil {
+	if err := s.metrics.WritePrometheus(w, ""); err != nil {
 		return
 	}
 	telemetry.Default.WritePrometheus(w, "rankties_") //nolint:errcheck // client gone

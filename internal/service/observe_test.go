@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/telemetry"
 )
@@ -259,13 +260,96 @@ func TestRequestMetricsSurviveTenantChurn(t *testing.T) {
 	doReqH(t, http.MethodPost, ts.URL+"/v1/tenants/churn/catalogs/movies/aggregate", `{}`, nil)
 	doReqH(t, http.MethodDelete, ts.URL+"/v1/tenants/churn", "", nil)
 	// The labeled counters are cumulative: deletion must not reset them.
-	hits := svc.LabeledRegistry().CounterVec("rankserve_cache_misses_total",
-		"Shared distance-cache misses attributed to requests, by tenant.", "tenant").
-		With("churn").Value()
+	hits := svc.mCacheMisses.With("churn").Value()
 	if hits <= 0 {
 		t.Errorf("labeled cache-miss counter lost on tenant churn: %d", hits)
 	}
 	if fmt.Sprint(svc.mTenants.Value()) != "0" {
 		t.Errorf("tenants gauge = %d after churn, want 0", svc.mTenants.Value())
+	}
+}
+
+// Requests naming tenants that do not exist must not mint series: a scrape
+// after many unknown-tenant requests carries at most one tenant label value
+// per live tenant plus the shared "-".
+func TestUnknownTenantsDoNotMintSeries(t *testing.T) {
+	const maxTenants = 2
+	_, ts := testServer(t, Config{MaxTenants: maxTenants})
+	putCatalog(t, ts, "acme", "movies", corpus, "")
+	putCatalog(t, ts, "globex", "films", corpus, "")
+	for i := 0; i < 100; i++ {
+		ghost := fmt.Sprintf("%s/v1/tenants/ghost%d", ts.URL, i)
+		doReqH(t, http.MethodGet, ghost+"/catalogs", "", nil)
+		doReqH(t, http.MethodPost, ghost+"/catalogs/movies/topk", `{"k": 1}`, nil)
+		doReqH(t, http.MethodDelete, ghost, "", nil)
+		doReqH(t, http.MethodPut, ghost+"/catalogs/movies", corpus, nil) // 429: tenant cap
+	}
+
+	_, body := doReqH(t, http.MethodGet, ts.URL+"/metrics", "", nil)
+	exp, _ := telemetry.ParseExposition(bytes.NewReader(body))
+	tenants := map[string]bool{}
+	for _, s := range exp.Samples {
+		if v, ok := s.Labels["tenant"]; ok {
+			tenants[v] = true
+		}
+	}
+	if len(tenants) > maxTenants+1 || !tenants["-"] {
+		t.Errorf("tenant label values %v: want at most the %d live tenants plus \"-\"", tenants, maxTenants)
+	}
+}
+
+// /stats must stay exact with telemetry disabled: its request, error, shed,
+// ladder and degraded tallies are always-on even though latency histograms
+// are gated.
+func TestStatsExactWithTelemetryDisabled(t *testing.T) {
+	telemetry.Disable()
+	defer telemetry.Enable()
+	svc, ts := testServer(t, Config{RatePerSec: 0.001, RateBurst: 4})
+	putCatalog(t, ts, "acme", "movies", deepCorpus, "")
+	topkURL := ts.URL + "/v1/tenants/acme/catalogs/movies/topk"
+	for _, tc := range []struct {
+		body   string
+		hdr    map[string]string
+		status int
+	}{
+		{`{"k": 2}`, nil, http.StatusOK},                                                             // exact; primes the stale store
+		{`{"k": 3, "algo": "ta", "theta": 0.5}`, nil, http.StatusOK},                                 // approx rung
+		{`{"k": 2}`, map[string]string{DeadlineHeader: "250"}, http.StatusOK},                        // stale rung
+		{`{"k": 6, "resilient": true, "chaos": {"seed": 7, "death_rate": 0.1}}`, nil, http.StatusOK}, // degraded
+		{`{"k": 0}`, nil, http.StatusBadRequest},
+		{`{"k": 2}`, nil, http.StatusTooManyRequests}, // burst of 4 spent
+	} {
+		if tc.hdr != nil {
+			// Poison the engine estimate so the 250ms budget selects stale.
+			svc.adm.serviceNs.Observe(float64(1000 * time.Second))
+		}
+		if status, b, _ := doReqHeaders(t, http.MethodPost, topkURL, tc.body, tc.hdr); status != tc.status {
+			t.Fatalf("topk %s: status %d, want %d: %s", tc.body, status, tc.status, b)
+		}
+	}
+	doReqH(t, http.MethodGet, ts.URL+"/v1/tenants/ghost/catalogs", "", nil) // 404
+	doReqH(t, http.MethodGet, ts.URL+"/healthz", "", nil)
+
+	_, body := doReqH(t, http.MethodGet, ts.URL+"/stats", "", nil)
+	stats := decode[StatsResponse](t, body)
+	for name, want := range map[string]EndpointStats{
+		"put_catalog":   {Requests: 1},
+		"topk":          {Requests: 6, Errors: 2},
+		"list_catalogs": {Requests: 1, Errors: 1},
+		"healthz":       {Requests: 1},
+		"aggregate":     {},
+	} {
+		if got := stats.Endpoints[name]; got != want {
+			t.Errorf("endpoints[%s] = %+v, want %+v (latency gated off)", name, got, want)
+		}
+	}
+	wantOverload := OverloadStats{ShedRateLimit: 1, ApproxAnswers: 1, StaleAnswers: 1}
+	gotOverload := stats.Overload
+	gotOverload.EngineEwmaNs = 0
+	if gotOverload != wantOverload {
+		t.Errorf("overload = %+v, want %+v", gotOverload, wantOverload)
+	}
+	if stats.DegradedQueries != 1 {
+		t.Errorf("degraded_queries = %d, want 1", stats.DegradedQueries)
 	}
 }

@@ -117,7 +117,7 @@ func TestRateLimitSheds429WithRetryAfter(t *testing.T) {
 	if !strings.Contains(er.Error, "rate") {
 		t.Errorf("error %q does not mention the rate limit", er.Error)
 	}
-	if got := svc.shedRate.Load(); got != 1 {
+	if got := statsOf(t, svc).Overload.ShedRateLimit; got != 1 {
 		t.Errorf("shedRate = %d, want 1", got)
 	}
 
@@ -169,7 +169,7 @@ func TestQueueFullShedsAndLIFOServes(t *testing.T) {
 	if hdr.Get("Retry-After") == "" {
 		t.Error("queue_full shed missing Retry-After header")
 	}
-	if got := svc.shedQueue.Load(); got != 1 {
+	if got := statsOf(t, svc).Overload.ShedQueueFull; got != 1 {
 		t.Errorf("shedQueue = %d, want 1", got)
 	}
 
@@ -312,7 +312,7 @@ func TestLadderStaleServesCachedAnswer(t *testing.T) {
 	if resp.TopK != fresh.TopK || fmt.Sprint(resp.Winners) != fmt.Sprint(fresh.Winners) {
 		t.Errorf("stale answer differs from the primed one: %+v vs %+v", resp, fresh)
 	}
-	if got := svc.ladderStale.Load(); got != 1 {
+	if got := statsOf(t, svc).Overload.StaleAnswers; got != 1 {
 		t.Errorf("ladderStale = %d, want 1", got)
 	}
 
@@ -352,8 +352,8 @@ func TestLadderApproxUnderModerateBudget(t *testing.T) {
 	if resp.Ladder.Certificate == nil || resp.Ladder.Theta <= 0 {
 		t.Errorf("approx ladder missing certificate/theta: %+v", resp.Ladder)
 	}
-	if got := svc.ladderApprox.Load(); got < 1 {
-		t.Errorf("ladderApprox = %d, want >= 1", got)
+	if got := svc.mDegradedAns.With("acme", LadderApprox).Value(); got < 1 {
+		t.Errorf(`rankserve_degraded_answers_total{level="approx"} = %d, want >= 1`, got)
 	}
 }
 
@@ -474,10 +474,10 @@ func TestDrainUnderSaturation(t *testing.T) {
 
 	// The books: one queue_full shed pre-drain, three draining sheds (two
 	// queued waiters aborted + one refused arrival).
-	if got := svc.shedQueue.Load(); got != 1 {
+	if got := statsOf(t, svc).Overload.ShedQueueFull; got != 1 {
 		t.Errorf("shedQueue = %d, want 1", got)
 	}
-	if got := svc.shedDraining.Load(); got != 3 {
+	if got := statsOf(t, svc).Overload.ShedDraining; got != 3 {
 		t.Errorf("shedDraining = %d, want 3", got)
 	}
 	// BeginDrain is idempotent.

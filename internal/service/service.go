@@ -16,10 +16,9 @@
 //     boundaries) with per-tenant hit/miss attribution, and one worker gate
 //     sized to GOMAXPROCS keeps concurrent queries from oversubscribing the
 //     machine the parallel engines already saturate.
-//   - Observability: every endpoint opens a telemetry span and records its
-//     latency into a service-owned registry, which a server publishes under
-//     a namespaced expvar slot ("rankties.server") next to the process-wide
-//     "rankties" registry.
+//   - Observability: every request opens a telemetry span and records each
+//     fact once, into the service's telemetry.Registry behind GET /metrics;
+//     /stats is summed from the same series.
 //
 // The package sits above ranking/metrics/aggregate/topk/faults/guard/cache
 // and below cmd/rankserve; it knows nothing about flags or listeners.
@@ -29,7 +28,6 @@ import (
 	"io"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"context"
@@ -119,19 +117,11 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// endpointStats is the always-on per-endpoint tally surfaced by /stats,
-// independent of whether gated telemetry is enabled.
-type endpointStats struct {
-	requests atomic.Int64
-	errors   atomic.Int64
-}
-
 // Service is the multi-tenant aggregation service. Construct with New; all
 // methods and handlers are safe for concurrent use.
 type Service struct {
 	cfg   Config
 	cache *cache.Cache
-	reg   *telemetry.Registry
 	adm   *admitter
 	stale *staleStore
 	start time.Time
@@ -145,21 +135,13 @@ type Service struct {
 	departedMu sync.Mutex
 	departed   map[string]TenantStats
 
-	degraded  atomic.Int64 // queries answered in degraded mode
-	endpoints map[string]*endpointStats
-	inflight  *telemetry.Gauge
-	logMu     sync.Mutex // serializes AccessLog writes
+	inflight *telemetry.Gauge
+	logMu    sync.Mutex // serializes AccessLog writes
 
-	// Always-on overload tallies surfaced by /stats (atomics, not gated).
-	shedRate     atomic.Int64
-	shedQueue    atomic.Int64
-	shedDeadline atomic.Int64
-	shedDraining atomic.Int64
-	ladderApprox atomic.Int64
-	ladderStale  atomic.Int64
-
-	// Labeled metric families backing GET /metrics.
-	labeled      *telemetry.LabeledRegistry
+	// Metric families backing GET /metrics and /stats. The families /stats
+	// reads (requests, degraded queries, sheds, degraded answers) are bumped
+	// with ForceInc, so /stats counts them with telemetry disabled too.
+	metrics      *telemetry.Registry
 	mRequests    telemetry.CounterVec   // {tenant, endpoint, status}
 	mLatency     telemetry.HistogramVec // {tenant, endpoint}
 	mSequential  telemetry.CounterVec   // {tenant}
@@ -177,64 +159,58 @@ type Service struct {
 	mQueueDepth  *telemetry.Gauge
 }
 
-// endpointNames is the fixed set of per-endpoint stat rows. Adding a handler
-// means adding its operation name here so /stats covers it.
+// endpointNames is the fixed set of per-endpoint /stats rows, reported even
+// before an endpoint has served a request. Adding a handler means adding its
+// operation name here.
 var endpointNames = []string{
 	"put_catalog", "append_rankings", "get_catalog", "delete_catalog",
 	"list_catalogs", "delete_tenant", "topk", "aggregate", "stats", "healthz",
 }
 
-// New builds a Service with the given bounds and a fresh shared distance
-// cache. The service's endpoint-latency instruments live in their own
-// registry (see Registry) so they can be published under a namespaced expvar
-// slot without colliding with the process-wide default registry.
+// New builds a Service with the given bounds, a fresh shared distance cache
+// and its own metrics registry.
 func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
 	s := &Service{
-		cfg:       cfg,
-		cache:     cache.New(cfg.CacheCapacity),
-		reg:       telemetry.NewRegistry(),
-		stale:     newStaleStore(cfg.StaleTTL, 1024),
-		start:     time.Now(),
-		tenants:   make(map[string]*tenant),
-		departed:  make(map[string]TenantStats),
-		endpoints: make(map[string]*endpointStats, len(endpointNames)),
-		labeled:   telemetry.NewLabeledRegistry(),
+		cfg:      cfg,
+		cache:    cache.New(cfg.CacheCapacity),
+		stale:    newStaleStore(cfg.StaleTTL, 1024),
+		start:    time.Now(),
+		tenants:  make(map[string]*tenant),
+		departed: make(map[string]TenantStats),
+		metrics:  telemetry.NewRegistry(),
 	}
-	for _, name := range endpointNames {
-		s.endpoints[name] = &endpointStats{}
-	}
-	s.mRequests = s.labeled.CounterVec("rankserve_requests_total",
+	s.mRequests = s.metrics.CounterVec("rankserve_requests_total",
 		"Requests served, by tenant, endpoint, and HTTP status.", "tenant", "endpoint", "status")
-	s.mLatency = s.labeled.HistogramVec("rankserve_request_latency_ns",
+	s.mLatency = s.metrics.HistogramVec("rankserve_request_latency_ns",
 		"Request latency in nanoseconds (base-2 buckets), by tenant and endpoint.", "tenant", "endpoint")
-	s.mSequential = s.labeled.CounterVec("rankserve_access_sequential_total",
+	s.mSequential = s.metrics.CounterVec("rankserve_access_sequential_total",
 		"Sequential (sorted) list accesses charged to queries, by tenant.", "tenant")
-	s.mRandom = s.labeled.CounterVec("rankserve_access_random_total",
+	s.mRandom = s.metrics.CounterVec("rankserve_access_random_total",
 		"Random list accesses charged to queries, by tenant.", "tenant")
-	s.mCacheHits = s.labeled.CounterVec("rankserve_cache_hits_total",
+	s.mCacheHits = s.metrics.CounterVec("rankserve_cache_hits_total",
 		"Shared distance-cache hits attributed to requests, by tenant.", "tenant")
-	s.mCacheMisses = s.labeled.CounterVec("rankserve_cache_misses_total",
+	s.mCacheMisses = s.metrics.CounterVec("rankserve_cache_misses_total",
 		"Shared distance-cache misses attributed to requests, by tenant.", "tenant")
-	s.mDegraded = s.labeled.CounterVec("rankserve_degraded_queries_total",
+	s.mDegraded = s.metrics.CounterVec("rankserve_degraded_queries_total",
 		"Queries answered in degraded mode, by tenant.", "tenant")
-	s.mRobust = s.labeled.CounterVec("rankserve_robust_requests_total",
+	s.mRobust = s.metrics.CounterVec("rankserve_robust_requests_total",
 		"Robust aggregations served, by tenant and robust mode.", "tenant", "mode")
-	s.mRobustTrim = s.labeled.CounterVec("rankserve_robust_trimmed_voters_total",
+	s.mRobustTrim = s.metrics.CounterVec("rankserve_robust_trimmed_voters_total",
 		"Voters dropped by reliability trimming, by tenant.", "tenant")
-	s.mShed = s.labeled.CounterVec("rankserve_shed_total",
+	s.mShed = s.metrics.CounterVec("rankserve_shed_total",
 		"Requests shed by admission control, by tenant and reason.", "tenant", "reason")
-	s.mDegradedAns = s.labeled.CounterVec("rankserve_degraded_answers_total",
+	s.mDegradedAns = s.metrics.CounterVec("rankserve_degraded_answers_total",
 		"Topk answers served below the exact ladder level, by tenant and level.", "tenant", "level")
-	s.mAlgo = s.labeled.CounterVec("rankserve_topk_algo_total",
+	s.mAlgo = s.metrics.CounterVec("rankserve_topk_algo_total",
 		"Top-k queries answered, by tenant and engine (medrank, ta, nra, ca).", "tenant", "algo")
-	s.mMwCost = s.labeled.CounterVec("rankserve_middleware_cost_total",
+	s.mMwCost = s.metrics.CounterVec("rankserve_middleware_cost_total",
 		"FLN middleware cost (cs=1, cr=effective cost ratio) accumulated by top-k queries, by tenant and engine.", "tenant", "algo")
-	s.mTenants = s.labeled.GaugeVec("rankserve_tenants",
+	s.mTenants = s.metrics.GaugeVec("rankserve_tenants",
 		"Live tenants.").With()
-	s.inflight = s.labeled.GaugeVec("rankserve_inflight_requests",
+	s.inflight = s.metrics.GaugeVec("rankserve_inflight_requests",
 		"Requests currently being served.").With()
-	s.mQueueDepth = s.labeled.GaugeVec("rankserve_queue_depth",
+	s.mQueueDepth = s.metrics.GaugeVec("rankserve_queue_depth",
 		"Requests waiting in the admission queue.").With()
 	s.adm = newAdmitter(cfg, s.mQueueDepth)
 	return s
@@ -245,15 +221,6 @@ func New(cfg Config) *Service {
 // are refused, while in-flight engines run to completion. Safe to call more
 // than once.
 func (s *Service) BeginDrain() { s.adm.beginDrain() }
-
-// LabeledRegistry returns the labeled families behind GET /metrics (tests
-// cross-check series against /stats).
-func (s *Service) LabeledRegistry() *telemetry.LabeledRegistry { return s.labeled }
-
-// Registry returns the service-owned telemetry registry holding the
-// http.<op>.latency_ns histograms, for publication under a namespaced expvar
-// name (telemetry.PublishExpvarNamed("rankties.server", svc.Registry())).
-func (s *Service) Registry() *telemetry.Registry { return s.reg }
 
 // Cache returns the shared distance cache (tests cross-check its totals
 // against the per-tenant attributions).
@@ -269,17 +236,7 @@ func (s *Service) admitQuery(ctx context.Context, tenantName string) (release fu
 	if shed == nil {
 		return release, state, nil
 	}
-	s.mShed.With(tenantName, shed.reason).Inc()
-	switch shed.reason {
-	case ShedRateLimit:
-		s.shedRate.Add(1)
-	case ShedQueueFull:
-		s.shedQueue.Add(1)
-	case ShedDeadline:
-		s.shedDeadline.Add(1)
-	case ShedDraining:
-		s.shedDraining.Add(1)
-	}
+	s.mShed.With(tenantName, shed.reason).ForceInc()
 	if meta := metaFrom(ctx); meta != nil {
 		meta.shedReason = shed.reason
 	}

@@ -31,6 +31,16 @@ func testServer(t *testing.T, cfg Config) (*Service, *httptest.Server) {
 	return svc, ts
 }
 
+// statsOf returns the service's /stats snapshot without an HTTP round trip.
+func statsOf(t *testing.T, svc *Service) StatsResponse {
+	t.Helper()
+	resp, apiErr := svc.handleStats(nil, nil)
+	if apiErr != nil {
+		t.Fatalf("stats: %s", apiErr.msg)
+	}
+	return resp.(StatsResponse)
+}
+
 // doReq issues one request and returns status + body.
 func doReq(t *testing.T, method, url, body string) (int, []byte) {
 	t.Helper()
@@ -328,7 +338,7 @@ func TestResilientTopKWithChaosDegrades(t *testing.T) {
 			t.Errorf("degraded answer not deterministic: %v vs %v", resp.Winners, first.Winners)
 		}
 	}
-	if svc.degraded.Load() == 0 {
+	if statsOf(t, svc).DegradedQueries == 0 {
 		t.Error("service did not count the degraded queries")
 	}
 }
@@ -478,8 +488,8 @@ func TestStatsSnapshot(t *testing.T) {
 	if resp.Endpoints["topk"].Requests == 0 || resp.Endpoints["aggregate"].Requests == 0 {
 		t.Errorf("endpoint tallies missing: %+v", resp.Endpoints)
 	}
-	if resp.Server.Histograms["http.topk.latency_ns"].Count == 0 {
-		t.Errorf("server registry missing topk latency histogram: %+v", resp.Server.Histograms)
+	if resp.Endpoints["topk"].P50Ns <= 0 {
+		t.Errorf("topk endpoint missing latency percentiles: %+v", resp.Endpoints["topk"])
 	}
 }
 

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -11,13 +12,13 @@ import (
 // Labeled instruments: one metric family ("rankserve_requests_total") fanning
 // out into series distinguished by label values ({tenant="acme",
 // endpoint="topk", status="200"}). A vec owns its family's fixed label keys;
-// With(values...) get-or-creates the series for one value tuple. This is what
-// lets per-tenant series share one family instead of requiring one Registry
-// per tenant.
+// With(values...) get-or-creates the series for one value tuple. A family
+// with no label keys has exactly one series, With(), which is what
+// Registry.Counter and Registry.Histogram return.
 //
-// Series creation takes a lock; the returned instruments are the same atomic
-// Counter/Gauge/Histogram types as the unlabeled registry, so hot paths that
-// cache the series pointer pay no lookup at all.
+// Series creation takes a lock; the returned instruments are plain atomic
+// Counter/Gauge/Histogram values, so hot paths that cache the series pointer
+// pay no lookup at all.
 
 // Gauge is a settable instrument (current value, not monotone). Unlike
 // Counter it is NOT gated on Enabled(): gauges track states (tenant count,
@@ -37,10 +38,12 @@ func (g *Gauge) Add(d int64) { g.v.Add(d) }
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
-// labelSep joins label values into a series key; 0x1f (ASCII unit separator)
-// cannot collide with printable label values' own bytes ambiguously enough to
-// matter for our controlled label sets (tenant names are admission-checked,
-// endpoints and statuses are program constants).
+// labelSep joins label values into a series key; two tuples alias only when
+// a value itself contains 0x1f (ASCII unit separator). Endpoints, statuses
+// and reasons are program constants. Tenant names are not checked for 0x1f,
+// but the service labels a request with its tenant only when that tenant
+// exists or the request succeeded, so at worst two real tenants could share
+// a series; path segments of unknown tenants never become label values.
 const labelSep = "\x1f"
 
 func seriesKey(vec string, keys, values []string) string {
@@ -97,6 +100,15 @@ func (v *vec[T]) snapshot() []*series[T] {
 	return out
 }
 
+// Each calls f with every series of the family — its label values in key
+// order and its instrument — in label-value order. It is how readers sum a
+// family over some of its labels.
+func (v *vec[T]) Each(f func(values []string, inst *T)) {
+	for _, s := range v.snapshot() {
+		f(s.values, s.inst)
+	}
+}
+
 // CounterVec is a counter family with fixed label keys.
 type CounterVec struct{ *vec[Counter] }
 
@@ -117,103 +129,51 @@ type HistogramVec struct{ *vec[Histogram] }
 // CounterVec.With.
 func (v HistogramVec) With(values ...string) *Histogram { return v.with(values...) }
 
-// LabeledRegistry is a named collection of labeled instrument families,
-// get-or-create like Registry. Re-declaring a family with different label
-// keys panics: a family's schema is fixed for the life of the process, and a
-// silent second schema would corrupt the exposition.
-type LabeledRegistry struct {
-	mu       sync.Mutex
-	counters map[string]CounterVec
-	gauges   map[string]GaugeVec
-	hists    map[string]HistogramVec
-}
-
-// NewLabeledRegistry returns an empty labeled registry.
-func NewLabeledRegistry() *LabeledRegistry {
-	return &LabeledRegistry{
-		counters: make(map[string]CounterVec),
-		gauges:   make(map[string]GaugeVec),
-		hists:    make(map[string]HistogramVec),
+// family get-or-creates the named family in m. Re-declaring a family with
+// different label keys panics: a family's schema is fixed for the life of
+// the process, and a silent second schema would corrupt the exposition.
+func family[T any](r *Registry, m map[string]*vec[T], name, help string, keys []string) *vec[T] {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	v, ok := m[name]
+	if !ok {
+		v = newVec[T](name, help, append([]string(nil), keys...))
+		m[name] = v
+		return v
 	}
-}
-
-func checkKeys(name string, have, want []string) {
-	if len(have) == len(want) {
-		same := true
-		for i := range have {
-			if have[i] != want[i] {
-				same = false
-				break
-			}
-		}
-		if same {
-			return
-		}
+	if !slices.Equal(v.keys, keys) {
+		panic(fmt.Sprintf("telemetry: family %s re-declared with keys %v (was %v)", name, keys, v.keys))
 	}
-	panic(fmt.Sprintf("telemetry: family %s re-declared with keys %v (was %v)", name, want, have))
+	return v
 }
 
 // CounterVec returns the registry's counter family with the given name,
 // creating it with the given help text and label keys on first use.
-func (r *LabeledRegistry) CounterVec(name, help string, keys ...string) CounterVec {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	v, ok := r.counters[name]
-	if !ok {
-		v = CounterVec{newVec[Counter](name, help, append([]string(nil), keys...))}
-		r.counters[name] = v
-		return v
-	}
-	checkKeys(name, v.keys, keys)
-	return v
+func (r *Registry) CounterVec(name, help string, keys ...string) CounterVec {
+	return CounterVec{family(r, r.counters, name, help, keys)}
 }
 
 // GaugeVec returns the registry's gauge family with the given name; see
 // CounterVec.
-func (r *LabeledRegistry) GaugeVec(name, help string, keys ...string) GaugeVec {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	v, ok := r.gauges[name]
-	if !ok {
-		v = GaugeVec{newVec[Gauge](name, help, append([]string(nil), keys...))}
-		r.gauges[name] = v
-		return v
-	}
-	checkKeys(name, v.keys, keys)
-	return v
+func (r *Registry) GaugeVec(name, help string, keys ...string) GaugeVec {
+	return GaugeVec{family(r, r.gauges, name, help, keys)}
 }
 
 // HistogramVec returns the registry's histogram family with the given name;
 // see CounterVec.
-func (r *LabeledRegistry) HistogramVec(name, help string, keys ...string) HistogramVec {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	v, ok := r.hists[name]
-	if !ok {
-		v = HistogramVec{newVec[Histogram](name, help, append([]string(nil), keys...))}
-		r.hists[name] = v
-		return v
-	}
-	checkKeys(name, v.keys, keys)
-	return v
+func (r *Registry) HistogramVec(name, help string, keys ...string) HistogramVec {
+	return HistogramVec{family(r, r.hists, name, help, keys)}
 }
 
-// familyNames returns the sorted names of every family of one kind, for
-// deterministic exposition order.
-func (r *LabeledRegistry) familyNames() (counters, gauges, hists []string) {
+// families returns one kind's families sorted by name, for deterministic
+// exposition order.
+func families[T any](r *Registry, m map[string]*vec[T]) []*vec[T] {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	for n := range r.counters {
-		counters = append(counters, n)
+	out := make([]*vec[T], 0, len(m))
+	for _, v := range m {
+		out = append(out, v)
 	}
-	for n := range r.gauges {
-		gauges = append(gauges, n)
-	}
-	for n := range r.hists {
-		hists = append(hists, n)
-	}
-	sort.Strings(counters)
-	sort.Strings(gauges)
-	sort.Strings(hists)
-	return
+	r.mu.Unlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
+	return out
 }

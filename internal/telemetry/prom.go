@@ -3,11 +3,10 @@ package telemetry
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 )
 
-// Prometheus text exposition (format version 0.0.4) for both registries.
+// Prometheus text exposition (format version 0.0.4) of a Registry.
 //
 // Mapping for base-2 histograms: internal bucket i holds observations v with
 // bits.Len64(v) == i, i.e. the half-open range [2^(i-1), 2^i). Prometheus
@@ -95,12 +94,12 @@ func bucketEdge(i int) string {
 	return fmt.Sprintf("%d", uint64(1)<<uint(i)-1)
 }
 
-// writePromHistogram renders one histogram series. labels is the pre-rendered
-// label set without braces ("" for none); `le` is appended to it.
+// writePromHistogram renders one histogram series. labels is the rendered
+// label set ("" for none); `le` is appended inside it.
 func writePromHistogram(w io.Writer, name, labels string, h *Histogram) error {
-	sep := ""
+	open := "{"
 	if labels != "" {
-		sep = ","
+		open = labels[:len(labels)-1] + ","
 	}
 	hi := 0
 	var loads [histBuckets]int64
@@ -113,7 +112,7 @@ func writePromHistogram(w io.Writer, name, labels string, h *Histogram) error {
 	var cum int64
 	for i := 0; i <= hi; i++ {
 		cum += loads[i]
-		if _, err := fmt.Fprintf(w, "%s_bucket{%s%sle=\"%s\"} %d\n", name, labels, sep, bucketEdge(i), cum); err != nil {
+		if _, err := fmt.Fprintf(w, "%s_bucket%sle=\"%s\"} %d\n", name, open, bucketEdge(i), cum); err != nil {
 			return err
 		}
 	}
@@ -121,114 +120,69 @@ func writePromHistogram(w io.Writer, name, labels string, h *Histogram) error {
 	for i := hi + 1; i < histBuckets; i++ {
 		total += loads[i]
 	}
-	if _, err := fmt.Fprintf(w, "%s_bucket{%s%sle=\"+Inf\"} %d\n", name, labels, sep, total); err != nil {
+	if _, err := fmt.Fprintf(w, "%s_bucket%sle=\"+Inf\"} %d\n", name, open, total); err != nil {
 		return err
 	}
-	if _, err := fmt.Fprintf(w, "%s_sum%s %d\n", name, braceOrEmpty(labels), h.sum.Load()); err != nil {
+	if _, err := fmt.Fprintf(w, "%s_sum%s %d\n", name, labels, h.sum.Load()); err != nil {
 		return err
 	}
-	_, err := fmt.Fprintf(w, "%s_count%s %d\n", name, braceOrEmpty(labels), total)
+	_, err := fmt.Fprintf(w, "%s_count%s %d\n", name, labels, total)
 	return err
 }
 
-func braceOrEmpty(labels string) string {
-	if labels == "" {
-		return ""
-	}
-	return "{" + labels + "}"
-}
-
-// WritePrometheus renders every instrument in the registry as an unlabeled
-// family named prefix + sanitized instrument name: counters as `counter`,
-// histograms as `histogram` with the base-2 bucket mapping described above.
-// Families are emitted in sorted name order.
+// WritePrometheus renders every family in the registry under the name
+// prefix + sanitized family name: counters, then gauges, then histograms
+// (with the base-2 bucket mapping described above), families in name order
+// and each family's series sorted by label values. A family registered
+// without help text — an unlabeled Counter or Histogram — gets help
+// generated from its name.
 func (r *Registry) WritePrometheus(w io.Writer, prefix string) error {
-	r.mu.Lock()
-	counterNames := make([]string, 0, len(r.counters))
-	for n := range r.counters {
-		counterNames = append(counterNames, n)
-	}
-	histNames := make([]string, 0, len(r.hists))
-	for n := range r.hists {
-		histNames = append(histNames, n)
-	}
-	counters := make(map[string]*Counter, len(r.counters))
-	for n, c := range r.counters {
-		counters[n] = c
-	}
-	hists := make(map[string]*Histogram, len(r.hists))
-	for n, h := range r.hists {
-		hists[n] = h
-	}
-	r.mu.Unlock()
-	sort.Strings(counterNames)
-	sort.Strings(histNames)
-
-	for _, n := range counterNames {
-		pn := promName(prefix + n)
-		if _, err := fmt.Fprintf(w, "# HELP %s Counter %q.\n# TYPE %s counter\n%s %d\n",
-			pn, n, pn, pn, counters[n].Value()); err != nil {
+	for _, v := range families(r, r.counters) {
+		if err := writeScalars(w, prefix, "counter", "Counter %q.", v); err != nil {
 			return err
 		}
 	}
-	for _, n := range histNames {
-		pn := promName(prefix + n)
-		if _, err := fmt.Fprintf(w, "# HELP %s Base-2 histogram %q (ns or units).\n# TYPE %s histogram\n", pn, n, pn); err != nil {
+	for _, v := range families(r, r.gauges) {
+		if err := writeScalars(w, prefix, "gauge", "Gauge %q.", v); err != nil {
 			return err
 		}
-		if err := writePromHistogram(w, pn, "", hists[n]); err != nil {
+	}
+	for _, v := range families(r, r.hists) {
+		pn := promName(prefix + v.name)
+		if err := writeHeader(w, pn, "histogram", "Base-2 histogram %q (ns or units).", v.name, v.help); err != nil {
 			return err
+		}
+		for _, s := range v.snapshot() {
+			if err := writePromHistogram(w, pn, formatLabels(v.keys, s.values), s.inst); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
 }
 
-// WritePrometheus renders every labeled family in the registry: counters,
-// then gauges, then histograms, each family's series sorted by label values.
-func (r *LabeledRegistry) WritePrometheus(w io.Writer) error {
-	counterNames, gaugeNames, histNames := r.familyNames()
+// writeHeader writes a family's HELP and TYPE lines; an empty help is
+// generated from defaultHelp, a format taking the family name.
+func writeHeader(w io.Writer, pn, typ, defaultHelp, name, help string) error {
+	if help == "" {
+		help = fmt.Sprintf(defaultHelp, name)
+	}
+	_, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", pn, help, pn, typ)
+	return err
+}
 
-	for _, n := range counterNames {
-		r.mu.Lock()
-		v := r.counters[n]
-		r.mu.Unlock()
-		pn := promName(n)
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", pn, v.help, pn); err != nil {
-			return err
-		}
-		for _, s := range v.snapshot() {
-			if _, err := fmt.Fprintf(w, "%s%s %d\n", pn, formatLabels(v.keys, s.values), s.inst.Value()); err != nil {
-				return err
-			}
-		}
+// writeScalars renders a counter or gauge family: one sample per series.
+func writeScalars[T any, PT interface {
+	*T
+	Value() int64
+}](w io.Writer, prefix, typ, defaultHelp string, v *vec[T]) error {
+	pn := promName(prefix + v.name)
+	if err := writeHeader(w, pn, typ, defaultHelp, v.name, v.help); err != nil {
+		return err
 	}
-	for _, n := range gaugeNames {
-		r.mu.Lock()
-		v := r.gauges[n]
-		r.mu.Unlock()
-		pn := promName(n)
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n", pn, v.help, pn); err != nil {
+	for _, s := range v.snapshot() {
+		if _, err := fmt.Fprintf(w, "%s%s %d\n", pn, formatLabels(v.keys, s.values), PT(s.inst).Value()); err != nil {
 			return err
-		}
-		for _, s := range v.snapshot() {
-			if _, err := fmt.Fprintf(w, "%s%s %d\n", pn, formatLabels(v.keys, s.values), s.inst.Value()); err != nil {
-				return err
-			}
-		}
-	}
-	for _, n := range histNames {
-		r.mu.Lock()
-		v := r.hists[n]
-		r.mu.Unlock()
-		pn := promName(n)
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", pn, v.help, pn); err != nil {
-			return err
-		}
-		for _, s := range v.snapshot() {
-			inner := strings.TrimSuffix(strings.TrimPrefix(formatLabels(v.keys, s.values), "{"), "}")
-			if err := writePromHistogram(w, pn, inner, s.inst); err != nil {
-				return err
-			}
 		}
 	}
 	return nil

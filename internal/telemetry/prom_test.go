@@ -47,11 +47,13 @@ func TestRegistryWritePrometheusLintsClean(t *testing.T) {
 			t.Fatal(err)
 		}
 		out := b.String()
-		if !strings.Contains(out, "rankties_queries_total 17") {
-			t.Errorf("counter sample missing:\n%s", out)
-		}
-		if !strings.Contains(out, "# TYPE rankties_latency_ns histogram") {
-			t.Errorf("histogram TYPE missing:\n%s", out)
+		for _, want := range []string{
+			"# HELP rankties_queries_total Counter \"queries.total\".\n# TYPE rankties_queries_total counter\nrankties_queries_total 17\n",
+			"# HELP rankties_latency_ns Base-2 histogram \"latency.ns\" (ns or units).\n# TYPE rankties_latency_ns histogram\n",
+		} {
+			if !strings.Contains(out, want) {
+				t.Errorf("missing %q in:\n%s", want, out)
+			}
 		}
 		if probs := LintExposition(strings.NewReader(out)); len(probs) != 0 {
 			t.Fatalf("lint problems: %v\n%s", probs, out)
@@ -80,22 +82,25 @@ func TestRegistryWritePrometheusLintsClean(t *testing.T) {
 	})
 }
 
+// Labeled families live in the same Registry as unlabeled instruments and
+// render side by side with them; the whole exposition lints clean.
 func TestLabeledRegistryWritePrometheusLintsClean(t *testing.T) {
 	withEnabled(t, func() {
-		lr := NewLabeledRegistry()
-		req := lr.CounterVec("rankserve_requests_total", "Requests by tenant, endpoint, status.", "tenant", "endpoint", "status")
+		r := NewRegistry()
+		r.Counter("queries.total").Add(17)
+		req := r.CounterVec("rankserve_requests_total", "Requests by tenant, endpoint, status.", "tenant", "endpoint", "status")
 		req.With("acme", "topk", "200").Add(3)
 		req.With("acme", "topk", "400").Add(1)
 		req.With("beta", "aggregate", "200").Add(2)
-		lr.GaugeVec("rankserve_tenants", "Live tenants.").With().Set(2)
-		lat := lr.HistogramVec("rankserve_request_latency_ns", "Request latency.", "tenant", "endpoint")
+		r.GaugeVec("rankserve_tenants", "Live tenants.").With().Set(2)
+		lat := r.HistogramVec("rankserve_request_latency_ns", "Request latency.", "tenant", "endpoint")
 		for i := int64(1); i <= 100; i++ {
 			lat.With("acme", "topk").Observe(i * 1000)
 		}
 		lat.With("beta", "aggregate").Observe(5)
 
 		var b strings.Builder
-		if err := lr.WritePrometheus(&b); err != nil {
+		if err := r.WritePrometheus(&b, "rankties."); err != nil {
 			t.Fatal(err)
 		}
 		out := b.String()
@@ -103,10 +108,11 @@ func TestLabeledRegistryWritePrometheusLintsClean(t *testing.T) {
 			t.Fatalf("lint problems: %v\n%s", probs, out)
 		}
 		for _, want := range []string{
-			`rankserve_requests_total{tenant="acme",endpoint="topk",status="200"} 3`,
-			`rankserve_requests_total{tenant="beta",endpoint="aggregate",status="200"} 2`,
-			`rankserve_tenants 2`,
-			`rankserve_request_latency_ns_count{tenant="acme",endpoint="topk"} 100`,
+			"rankties_queries_total 17\n",
+			`rankties_rankserve_requests_total{tenant="acme",endpoint="topk",status="200"} 3`,
+			`rankties_rankserve_requests_total{tenant="beta",endpoint="aggregate",status="200"} 2`,
+			"# HELP rankties_rankserve_tenants Live tenants.\n# TYPE rankties_rankserve_tenants gauge\nrankties_rankserve_tenants 2\n",
+			`rankties_rankserve_request_latency_ns_count{tenant="acme",endpoint="topk"} 100`,
 		} {
 			if !strings.Contains(out, want) {
 				t.Errorf("missing %q in:\n%s", want, out)
@@ -115,7 +121,7 @@ func TestLabeledRegistryWritePrometheusLintsClean(t *testing.T) {
 		// Histogram readable per label set, quantile consistent with the
 		// in-process upper-bound quantile.
 		exp, _ := ParseExposition(strings.NewReader(out))
-		buckets, _, count, ok := exp.Histogram("rankserve_request_latency_ns", map[string]string{"tenant": "acme", "endpoint": "topk"})
+		buckets, _, count, ok := exp.Histogram("rankties_rankserve_request_latency_ns", map[string]string{"tenant": "acme", "endpoint": "topk"})
 		if !ok || count != 100 {
 			t.Fatalf("acme histogram: ok=%v count=%v", ok, count)
 		}
@@ -197,12 +203,13 @@ h_count 4
 }
 
 func TestVecArityAndRedeclarePanics(t *testing.T) {
-	lr := NewLabeledRegistry()
-	v := lr.CounterVec("x_total", "X.", "a", "b")
+	r := NewRegistry()
+	v := r.CounterVec("x_total", "X.", "a", "b")
 	mustPanic(t, "arity", func() { v.With("only-one") })
-	mustPanic(t, "redeclare", func() { lr.CounterVec("x_total", "X.", "a") })
+	mustPanic(t, "redeclare", func() { r.CounterVec("x_total", "X.", "a") })
+	mustPanic(t, "unlabeled redeclare", func() { r.Counter("x_total") })
 	// Same keys: get-or-create returns the same family.
-	v2 := lr.CounterVec("x_total", "X.", "a", "b")
+	v2 := r.CounterVec("x_total", "X.", "a", "b")
 	v2.With("1", "2").ForceAdd(5)
 	if got := v.With("1", "2").Value(); got != 5 {
 		t.Errorf("families not shared: %d", got)

@@ -88,8 +88,9 @@ func (e *Exposition) Histogram(family string, sel map[string]string) (buckets ma
 }
 
 // QuantileFromBuckets returns an upper bound on the q-quantile implied by a
-// cumulative le->count bucket map (the smallest finite upper edge at which
-// the cumulative count reaches q of the total). Returns 0 on an empty map.
+// cumulative le->count bucket map: the smallest finite upper edge at which
+// the cumulative count reaches the NearestRank observation, the rule
+// Histogram.Quantile uses. Returns 0 on an empty map.
 func QuantileFromBuckets(buckets map[float64]float64, q float64) float64 {
 	if len(buckets) == 0 {
 		return 0
@@ -103,10 +104,7 @@ func QuantileFromBuckets(buckets map[float64]float64, q float64) float64 {
 	if total <= 0 {
 		return 0
 	}
-	need := q * total
-	if need < 1 {
-		need = 1
-	}
+	need := float64(NearestRank(q, int64(total)))
 	var lastFinite float64
 	for _, le := range edges {
 		if buckets[le] >= need {

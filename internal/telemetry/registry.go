@@ -2,8 +2,8 @@ package telemetry
 
 import (
 	"expvar"
+	"math"
 	"math/bits"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -12,12 +12,8 @@ import (
 // on Enabled(), so a disabled counter costs one atomic load and never
 // allocates; reads always return whatever was recorded while enabled.
 type Counter struct {
-	name string
-	v    atomic.Int64
+	v atomic.Int64
 }
-
-// Name returns the counter's registry name.
-func (c *Counter) Name() string { return c.name }
 
 // Inc adds one when telemetry is enabled.
 func (c *Counter) Inc() {
@@ -33,10 +29,11 @@ func (c *Counter) Add(d int64) {
 	}
 }
 
-// ForceInc adds one regardless of Enabled(). Reserve it for supervision
-// events — contained panics, dropped inputs — that operators must be able to
-// count after the fact even when tracing was off; ordinary hot-path
-// instruments stay gated so disabled telemetry stays free.
+// ForceInc adds one regardless of Enabled(). Reserve it for facts operators
+// must be able to count after the fact even when tracing was off —
+// contained panics, dropped inputs, and the request, shed and ladder tallies
+// rankserve's /stats reports; ordinary hot-path instruments stay gated so
+// disabled telemetry stays free.
 func (c *Counter) ForceInc() { c.v.Add(1) }
 
 // ForceAdd adds d regardless of Enabled(); see ForceInc.
@@ -54,15 +51,11 @@ const histBuckets = 65
 // observations (durations in nanoseconds, sizes, depths) with exponential
 // base-2 buckets. Like Counter, observations are gated on Enabled().
 type Histogram struct {
-	name    string
 	count   atomic.Int64
 	sum     atomic.Int64
 	max     atomic.Int64
 	buckets [histBuckets]atomic.Int64
 }
-
-// Name returns the histogram's registry name.
-func (h *Histogram) Name() string { return h.name }
 
 // Observe records v when telemetry is enabled. Negative values clamp to 0.
 func (h *Histogram) Observe(v int64) {
@@ -75,6 +68,10 @@ func (h *Histogram) Observe(v int64) {
 	h.buckets[bits.Len64(uint64(v))].Add(1)
 	h.count.Add(1)
 	h.sum.Add(v)
+	h.raiseMax(v)
+}
+
+func (h *Histogram) raiseMax(v int64) {
 	for {
 		cur := h.max.Load()
 		if v <= cur || h.max.CompareAndSwap(cur, v) {
@@ -83,24 +80,36 @@ func (h *Histogram) Observe(v int64) {
 	}
 }
 
+// Merge adds o's observations into h bucket by bucket, so the series of one
+// family can be summed over a label; buckets share their edges, so the sum
+// is exact. Unlike Observe it is not gated: it adds up what was recorded.
+func (h *Histogram) Merge(o *Histogram) {
+	for i := range h.buckets {
+		h.buckets[i].Add(o.buckets[i].Load())
+	}
+	h.count.Add(o.count.Load())
+	h.sum.Add(o.sum.Load())
+	h.raiseMax(o.max.Load())
+}
+
+// NearestRank returns the 1-based rank of the q-quantile among n ordered
+// observations: ceil(q·n), at least 1 and at most n. Histogram.Quantile,
+// QuantileFromBuckets and rankload's exact client-side quantiles all use
+// it, so every percentile the repo reports follows one rule.
+func NearestRank(q float64, n int64) int64 {
+	return min(max(int64(math.Ceil(q*float64(n))), 1), n)
+}
+
 // Quantile returns an upper bound on the q-quantile (q in [0, 1]) of the
-// recorded observations: the upper edge of the bucket where the cumulative
-// count crosses q, clamped to the observed maximum. Returns 0 when empty.
+// recorded observations: the upper edge of the bucket holding the
+// NearestRank observation, clamped to the observed maximum. Returns 0 when
+// empty.
 func (h *Histogram) Quantile(q float64) int64 {
 	total := h.count.Load()
 	if total == 0 {
 		return 0
 	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	need := int64(q * float64(total))
-	if need < 1 {
-		need = 1
-	}
+	need := NearestRank(q, total)
 	var cum int64
 	for i := 0; i < histBuckets; i++ {
 		cum += h.buckets[i].Load()
@@ -142,20 +151,25 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
-// Registry is a named collection of counters and histograms. Counter and
-// Histogram get-or-create by name, so independent packages can bind package
-// level instrument variables at init time and share the process-wide view.
+// Registry is the one metrics store: named families of counters, gauges and
+// histograms, each family with fixed label keys (see labels.go). An
+// unlabeled instrument is the single series of a family with no label keys;
+// Counter and Histogram get-or-create those by name, so independent
+// packages can bind package-level instrument variables at init time and
+// share the process-wide view.
 type Registry struct {
 	mu       sync.Mutex
-	counters map[string]*Counter
-	hists    map[string]*Histogram
+	counters map[string]*vec[Counter]
+	gauges   map[string]*vec[Gauge]
+	hists    map[string]*vec[Histogram]
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters: make(map[string]*Counter),
-		hists:    make(map[string]*Histogram),
+		counters: make(map[string]*vec[Counter]),
+		gauges:   make(map[string]*vec[Gauge]),
+		hists:    make(map[string]*vec[Histogram]),
 	}
 }
 
@@ -163,30 +177,17 @@ func NewRegistry() *Registry {
 // Histogram helpers and by PublishExpvar.
 var Default = NewRegistry()
 
-// Counter returns the registry's counter with the given name, creating it on
-// first use.
+// Counter returns the registry's unlabeled counter with the given name,
+// creating it on first use. Its exposition help text is generated from the
+// name.
 func (r *Registry) Counter(name string) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c, ok := r.counters[name]
-	if !ok {
-		c = &Counter{name: name}
-		r.counters[name] = c
-	}
-	return c
+	return family(r, r.counters, name, "", nil).with()
 }
 
-// Histogram returns the registry's histogram with the given name, creating
-// it on first use.
+// Histogram returns the registry's unlabeled histogram with the given name,
+// creating it on first use; see Counter.
 func (r *Registry) Histogram(name string) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.hists[name]
-	if !ok {
-		h = &Histogram{name: name}
-		r.hists[name] = h
-	}
-	return h
+	return family(r, r.hists, name, "", nil).with()
 }
 
 // GetCounter is Counter on the default registry.
@@ -195,9 +196,9 @@ func GetCounter(name string) *Counter { return Default.Counter(name) }
 // GetHistogram is Histogram on the default registry.
 func GetHistogram(name string) *Histogram { return Default.Histogram(name) }
 
-// Snapshot is a point-in-time JSON-marshalable view of a registry: counter
-// values and histogram summaries keyed by name, zero-valued instruments
-// omitted for compactness.
+// Snapshot is a point-in-time JSON-marshalable view of a registry's counters
+// and histograms, keyed by family name (plus the rendered label set for a
+// labeled series), zero-valued series omitted for compactness.
 type Snapshot struct {
 	Counters   map[string]int64             `json:"counters"`
 	Histograms map[string]HistogramSnapshot `json:"histograms"`
@@ -205,104 +206,58 @@ type Snapshot struct {
 
 // Snapshot captures the registry's current state.
 func (r *Registry) Snapshot() Snapshot {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s := Snapshot{
-		Counters:   make(map[string]int64, len(r.counters)),
-		Histograms: make(map[string]HistogramSnapshot, len(r.hists)),
+	s := Snapshot{Counters: map[string]int64{}, Histograms: map[string]HistogramSnapshot{}}
+	for _, v := range families(r, r.counters) {
+		v.Each(func(values []string, c *Counter) {
+			if n := c.Value(); n != 0 {
+				s.Counters[v.name+formatLabels(v.keys, values)] = n
+			}
+		})
 	}
-	for name, c := range r.counters {
-		if v := c.Value(); v != 0 {
-			s.Counters[name] = v
-		}
-	}
-	for name, h := range r.hists {
-		if hs := h.Snapshot(); hs.Count != 0 {
-			s.Histograms[name] = hs
-		}
+	for _, v := range families(r, r.hists) {
+		v.Each(func(values []string, h *Histogram) {
+			if hs := h.Snapshot(); hs.Count != 0 {
+				s.Histograms[v.name+formatLabels(v.keys, values)] = hs
+			}
+		})
 	}
 	return s
 }
 
-// Names returns the sorted names of all registered instruments.
-func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.counters)+len(r.hists))
-	for n := range r.counters {
-		names = append(names, n)
-	}
-	for n := range r.hists {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Reset zeroes every instrument in the registry. Intended for tests and for
-// per-run stats in command-line tools; instruments stay registered so bound
-// package variables remain valid.
+// Reset zeroes every counter and histogram in the registry (gauges track
+// live state and keep their values). Intended for tests and for per-run
+// stats in command-line tools; instruments stay registered so bound package
+// variables remain valid.
 func (r *Registry) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, c := range r.counters {
-		c.v.Store(0)
+	for _, v := range families(r, r.counters) {
+		v.Each(func(_ []string, c *Counter) { c.v.Store(0) })
 	}
-	for _, h := range r.hists {
-		h.count.Store(0)
-		h.sum.Store(0)
-		h.max.Store(0)
-		for i := range h.buckets {
-			h.buckets[i].Store(0)
-		}
+	for _, v := range families(r, r.hists) {
+		v.Each(func(_ []string, h *Histogram) {
+			h.count.Store(0)
+			h.sum.Store(0)
+			h.max.Store(0)
+			for i := range h.buckets {
+				h.buckets[i].Store(0)
+			}
+		})
 	}
 }
 
-// expvar publication bookkeeping. expvar.Publish panics on a duplicate name
-// and has no unpublish, so each name is claimed at most once per process;
-// the map records which names this package has already published.
-var (
-	expvarMu    sync.Mutex
-	expvarNames = map[string]bool{}
-)
+var publishOnce sync.Once
 
 // PublishExpvar publishes the default registry (and the trace ring buffer)
 // under the expvar name "rankties", so any net/http server with the expvar
 // handler mounted exposes the live snapshot at /debug/vars. Safe to call
-// more than once; only the first call publishes.
-func PublishExpvar() { PublishExpvarNamed("rankties", Default) }
-
-// PublishExpvarNamed publishes a registry under an arbitrary expvar name, so
-// components with their own registries coexist at /debug/vars instead of
-// colliding on the one "rankties" slot: the convention is
-// "rankties.<component>" (e.g. "rankties.server" for rankserve's
-// endpoint-latency registry) next to the CLI-historical "rankties" for the
-// process-wide Default.
-//
-// Constraint: expvar names are process-global and cannot be unpublished, so
-// the first publication under a name wins for the life of the process —
-// repeat calls with the same name are no-ops regardless of which registry
-// they carry. The trace ring buffer is likewise global and is therefore
-// attached only to the Default registry's publications.
-func PublishExpvarNamed(name string, r *Registry) {
-	expvarMu.Lock()
-	defer expvarMu.Unlock()
-	if expvarNames[name] {
-		return
-	}
-	expvarNames[name] = true
-	if r == Default {
-		expvar.Publish(name, expvar.Func(func() any {
+// more than once; only the first call publishes, since expvar panics on a
+// duplicate name.
+func PublishExpvar() {
+	publishOnce.Do(func() {
+		expvar.Publish("rankties", expvar.Func(func() any {
 			return struct {
 				Telemetry Snapshot `json:"telemetry"`
 				Trace     []Event  `json:"trace"`
 			}{Default.Snapshot(), TraceEvents()}
 		}))
-		return
-	}
-	expvar.Publish(name, expvar.Func(func() any {
-		return struct {
-			Telemetry Snapshot `json:"telemetry"`
-		}{r.Snapshot()}
-	}))
+	})
 }

@@ -1,7 +1,9 @@
 // Package telemetry is the zero-dependency observability layer of the
-// reproduction: atomic counters and bounded histograms behind a Registry
-// with an expvar-published JSON snapshot, a lightweight span/trace API with
-// runtime/pprof label propagation, and the unified AccessAccountant that
+// reproduction: one Registry of labeled counter, gauge and histogram
+// families (an unlabeled instrument is a family with no label keys) with a
+// JSON snapshot, an expvar publication and a Prometheus text exposition, a
+// lightweight span/trace API with runtime/pprof label propagation, and the
+// unified AccessAccountant that
 // implements the middleware cost model of Fagin, Lotem, and Naor (counted
 // sequential and random accesses) under which the paper's MEDRANK algorithm
 // is instance optimal.

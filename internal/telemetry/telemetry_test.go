@@ -160,23 +160,6 @@ func TestRegistryReset(t *testing.T) {
 	}
 }
 
-func TestRegistryNames(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("b")
-	r.Counter("a")
-	r.Histogram("c")
-	got := r.Names()
-	want := []string{"a", "b", "c"}
-	if len(got) != len(want) {
-		t.Fatalf("names = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("names = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestCounterZeroAllocsDisabled(t *testing.T) {
 	was := Enabled()
 	Disable()
