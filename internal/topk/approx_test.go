@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/randrank"
@@ -25,7 +26,8 @@ func exactMedians2(t *testing.T, rankings []*ranking.PartialRanking) []int64 {
 		for i, r := range rankings {
 			pos[i] = r.Pos2(e)
 		}
-		med[e] = kthSmallest(pos, needed)
+		slices.Sort(pos)
+		med[e] = pos[needed-1]
 	}
 	return med
 }

@@ -62,3 +62,28 @@ func BenchmarkMedRankFewValuedCatalog(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkEnginesWide runs every engine on the wide, tie-heavy serve-topk
+// catalog shapes (wideEnsemble), where frontiers move only at bucket
+// boundaries and the certification tests mostly see unchanged inputs.
+func BenchmarkEnginesWide(b *testing.B) {
+	for _, shape := range []struct{ n, m int }{{2000, 24}, {1000, 32}} {
+		in := wideEnsemble(shape.n, shape.m)
+		for _, tc := range wideSpecs {
+			spec := tc.spec
+			spec.K = 10
+			b.Run(fmt.Sprintf("m%d/%s", shape.m, tc.name), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					sources, acc, err := ListSources(in)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if _, err := Run(context.Background(), spec, sources, acc); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}

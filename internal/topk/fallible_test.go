@@ -3,10 +3,12 @@ package topk
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"testing"
@@ -63,8 +65,9 @@ func pinnedEnsemble() []*ranking.PartialRanking {
 
 // recordedAccesses holds {Stats.Total, Stats.Random, Stats.TotalBucketProbes}
 // of each engine on pinnedEnsemble at k = 10, recorded from the earlier
-// cursor-driven MEDRANK and TA and the NRA/CA of the same release: any change
-// to what an engine reads on this instance shows here.
+// cursor-driven MEDRANK and TA and the NRA/CA of the same release, and on the
+// wide instances of TestRecordedAccessCountsWide: any change to what an
+// engine reads on these instances shows here.
 var recordedAccesses = map[string][3]int{
 	"medrank/GlobalMerge":        {652, 0, 652},
 	"medrank/RoundRobin":         {814, 0, 814},
@@ -74,6 +77,34 @@ var recordedAccesses = map[string][3]int{
 	"ta/theta0":                  {813, 656, 0},
 	"nra":                        {815, 0, 815},
 	"ca/ratio10":                 {815, 0, 815},
+
+	// TestRecordedAccessCountsWide: wideEnsemble at m=24 (n=2000) and m=32
+	// (n=1000), recorded before the certification caches existed.
+	"m24/k1/medrank/GlobalMerge":        {17664, 0, 17664},
+	"m24/k1/medrank/RoundRobin":         {17664, 0, 17664},
+	"m24/k1/ta":                         {17653, 18906, 0},
+	"m24/k1/nra":                        {17664, 0, 17664},
+	"m24/k1/ca/ratio10":                 {17664, 23, 17664},
+	"m24/k10/medrank/GlobalMerge":       {17664, 0, 17664},
+	"m24/k10/medrank/RoundRobin":        {17664, 0, 17664},
+	"m24/k10/ta":                        {17653, 18906, 0},
+	"m24/k10/nra":                       {17664, 0, 17664},
+	"m24/k10/ca/ratio10":                {17664, 38, 17664},
+	"m24/k10/medrank/GlobalMerge/death": {16968, 0, 16968},
+	"m24/k10/medrank/RoundRobin/death":  {16971, 0, 16971},
+	"m24/k10/ta/death":                  {16936, 18061, 0},
+	"m24/k10/nra/death":                 {16971, 0, 16971},
+	"m24/k10/ca/ratio10/death":          {16969, 38, 16969},
+	"m32/k1/medrank/GlobalMerge":        {11648, 0, 11648},
+	"m32/k1/medrank/RoundRobin":         {11775, 0, 11775},
+	"m32/k1/ta":                         {11761, 13857, 0},
+	"m32/k1/nra":                        {32, 0, 32},
+	"m32/k1/ca/ratio10":                 {32, 0, 32},
+	"m32/k10/medrank/GlobalMerge":       {11648, 0, 11648},
+	"m32/k10/medrank/RoundRobin":        {11775, 0, 11775},
+	"m32/k10/ta":                        {11761, 13857, 0},
+	"m32/k10/nra":                       {11776, 0, 11776},
+	"m32/k10/ca/ratio10":                {11776, 51, 11776},
 }
 
 func checkRecorded(t *testing.T, name string, res *Result) {
@@ -146,16 +177,7 @@ func TestMedRankOverFaultFreeMatchesMedRank(t *testing.T) {
 // recorded access counts.
 func TestRecordedAccessCounts(t *testing.T) {
 	in := pinnedEnsemble()
-	f4, err := aggregate.MedianScores2(in, aggregate.LowerMedian)
-	if err != nil {
-		t.Fatal(err)
-	}
-	byMedian := make([]int, len(f4))
-	for e := range byMedian {
-		byMedian[e] = e
-	}
-	sort.SliceStable(byMedian, func(a, b int) bool { return f4[byMedian[a]] < f4[byMedian[b]] })
-	wantSet := sortedSet(byMedian[:10])
+	wantSet := offlineSet(t, in, 10)
 	for _, tc := range []struct {
 		name string
 		spec Spec
@@ -295,7 +317,8 @@ func TestMedRankOverQualityInterval(t *testing.T) {
 			for l, r := range in {
 				all[l] = r.Pos2(w)
 			}
-			truth := kthSmallest(all, j)
+			slices.Sort(all)
+			truth := all[j-1]
 			iv := res.Degraded.MedianIntervals2[i]
 			if truth < iv[0] || truth > iv[1] {
 				t.Errorf("victim %d winner %d: fault-free median %d outside certified [%d, %d]",
@@ -522,7 +545,8 @@ func TestThresholdTopKOverDeathDeterministic(t *testing.T) {
 			for l, r := range in {
 				all[l] = r.Pos2(w)
 			}
-			truth := kthSmallest(all, j)
+			slices.Sort(all)
+			truth := all[j-1]
 			iv := a.Degraded.MedianIntervals2[i]
 			if truth < iv[0] || truth > iv[1] {
 				t.Errorf("victim %d winner %d: fault-free median %d outside certified [%d, %d]",
@@ -576,5 +600,94 @@ func TestMedRankOverValidation(t *testing.T) {
 	res, err := MedRankOver(context.Background(), chaosSources(in, acc, nil), 0, GlobalMerge, acc)
 	if err != nil || len(res.Winners) != 0 {
 		t.Errorf("k=0: res=%v err=%v", res, err)
+	}
+}
+
+// offlineSet returns the offline top-k answer set: the k elements with the
+// smallest (lower median, element ID).
+func offlineSet(t *testing.T, in []*ranking.PartialRanking, k int) []int {
+	t.Helper()
+	f4, err := aggregate.MedianScores2(in, aggregate.LowerMedian)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byMedian := make([]int, len(f4))
+	for e := range byMedian {
+		byMedian[e] = e
+	}
+	sort.SliceStable(byMedian, func(a, b int) bool { return f4[byMedian[a]] < f4[byMedian[b]] })
+	return sortedSet(byMedian[:k])
+}
+
+// wideEnsemble is the serve-topk catalog shape at fixed seed 1: 8 Zipf(1.0)
+// values, Mallows θ=0.05 — wide and tie-heavy, so frontiers move only at
+// bucket boundaries and most probes leave every certification input
+// unchanged.
+func wideEnsemble(n, m int) []*ranking.PartialRanking {
+	return randrank.CatalogEnsemble(rand.New(rand.NewSource(1)), n, m, 8, 1.0, 0.05).Rankings
+}
+
+// wideSpecs are the engines pinned on the wide instances.
+var wideSpecs = []struct {
+	name string
+	spec Spec
+}{
+	{"medrank/GlobalMerge", Spec{Algo: AlgoMedRank, Policy: GlobalMerge}},
+	{"medrank/RoundRobin", Spec{Algo: AlgoMedRank, Policy: RoundRobin}},
+	{"ta", Spec{Algo: AlgoTA}},
+	{"nra", Spec{Algo: AlgoNRA}},
+	{"ca/ratio10", Spec{Algo: AlgoCA, CostRatio: 10}},
+}
+
+// TestRecordedAccessCountsWide pins every engine's access counts on the wide
+// serve-topk shapes (n=2000/m=24 and n=1000/m=32, k ∈ {1, 10}), where the
+// certification tests mostly re-evaluate unchanged inputs, plus one run per
+// engine in which list 3 dies after 40 accesses, so the rebuilt state after
+// a death is pinned too. Answers are checked against the offline oracle over
+// the lists that took part.
+func TestRecordedAccessCountsWide(t *testing.T) {
+	const victim = 3
+	for _, shape := range []struct{ n, m int }{{2000, 24}, {1000, 32}} {
+		in := wideEnsemble(shape.n, shape.m)
+		for _, k := range []int{1, 10} {
+			for _, death := range []bool{false, true} {
+				if death && (k != 10 || shape.m != 24) {
+					continue
+				}
+				for _, tc := range wideSpecs {
+					name := fmt.Sprintf("m%d/k%d/%s", shape.m, k, tc.name)
+					acc := telemetry.NewAccessAccountant(shape.m)
+					survivors := in
+					var wrap func(int, faults.Source) faults.Source
+					if death {
+						name += "/death"
+						survivors = append(append([]*ranking.PartialRanking(nil), in[:victim]...), in[victim+1:]...)
+						wrap = func(i int, s faults.Source) faults.Source {
+							if i != victim {
+								return s
+							}
+							return faults.Inject(s, faults.Plan{DeathAfter: 40})
+						}
+					}
+					spec := tc.spec
+					spec.K = k
+					res, err := Run(context.Background(), spec, chaosSources(in, acc, wrap), acc)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if death != (res.Degraded != nil) {
+						t.Fatalf("%s: Degraded = %+v", name, res.Degraded)
+					}
+					checkRecorded(t, name, res)
+					if spec.Algo == AlgoNRA || spec.Algo == AlgoCA {
+						if got, wantSet := sortedSet(res.Winners), offlineSet(t, survivors, k); !reflect.DeepEqual(got, wantSet) {
+							t.Errorf("%s: answer set %v, offline %v", name, got, wantSet)
+						}
+						continue
+					}
+					checkOracle(t, name, survivors, k, res)
+				}
+			}
+		}
 	}
 }

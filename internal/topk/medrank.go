@@ -1,7 +1,6 @@
 package topk
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"math"
@@ -81,18 +80,21 @@ func (r *medrankRun) rebuild() {
 		sv: r.survivors,
 		n:  r.n, m: m, k: r.k,
 		needed:   (m + 1) / 2, // index of the lower median
-		frontier: make([]int64, m),
-		seen:     make([][]int64, r.n),
+		fr:       newFrontiers(m, (m+1)/2),
+		pos:      make([]int64, r.n*m),
+		cnt:      make([]int32, r.n),
 		exactMed: make([]int64, r.n),
 		inPend:   make([]bool, r.n),
 		cleared:  make([]bool, r.n),
-		kSmall:   &int64MaxHeap{},
+		kSmall:   make(pairMaxHeap, 0, r.k),
+		scratch:  make([]int64, 0, m),
+		changed:  true,
 	}
 	for e := range c.exactMed {
 		c.exactMed[e] = math.MaxInt64
 	}
 	for li, orig := range r.aliveIdx {
-		c.frontier[li] = r.sources[orig].Peek2()
+		c.fr.pos[li] = r.sources[orig].Peek2()
 	}
 	r.core = c
 	r.replay(func(_ int, e Entry) { c.add(e) })
@@ -104,16 +106,10 @@ func (r *medrankRun) rebuild() {
 // pick returns the survivor slot to probe next, or -1 when every surviving
 // list is exhausted.
 func (r *medrankRun) pick() int {
-	fr := r.core.frontier
 	if r.policy == GlobalMerge || r.policy == GlobalMergeBuckets {
-		best, bestPos := -1, int64(math.MaxInt64)
-		for i, p := range fr {
-			if p < bestPos {
-				best, bestPos = i, p
-			}
-		}
-		return best
+		return r.core.fr.argmin()
 	}
+	fr := r.core.fr.pos
 	for tries := 0; tries < len(fr); tries++ {
 		i := r.rrNext
 		r.rrNext = (r.rrNext + 1) % len(fr)
@@ -154,7 +150,7 @@ func (r *medrankRun) probe(ctx context.Context, li int) error {
 		return r.kill(orig, err, r.rebuild)
 	}
 	if !ok {
-		r.core.frontier[li] = math.MaxInt64
+		r.core.setFrontier(li, math.MaxInt64)
 		return nil
 	}
 	r.acc.BucketIO(orig)
@@ -179,9 +175,10 @@ func (r *medrankRun) probe(ctx context.Context, li int) error {
 
 // record logs one consumed entry and feeds it to the certification core.
 func (r *medrankRun) record(li, orig int, e Entry) {
-	r.learn(orig, e)
-	r.core.frontier[li] = r.sources[orig].Peek2()
-	r.core.add(e)
+	r.core.setFrontier(li, r.sources[orig].Peek2())
+	if r.learn(orig, e) {
+		r.core.add(e)
+	}
 }
 
 // medrankCore is the certification state of one MEDRANK run over a fixed set
@@ -204,44 +201,68 @@ func (r *medrankRun) record(li, orig int, e Entry) {
 //   - the k-th smallest exact median only shrinks as elements become exact.
 //
 // Hence once an element's bound clears the bar it is out of the race for
-// good ("cleared"), and each element is charged O(m log m) work a constant
-// number of times plus one examination per failed certification.
+// good ("cleared"), and each element is charged O(m) work a constant number
+// of times plus one examination per failed certification.
+//
+// A failed test is not repeated until `changed` records one of the events
+// that alone can certify (see the package doc): a frontier value changes, a
+// median is promoted, or the last never-probed element is probed.
 type medrankCore struct {
 	sv              *survivors
 	n, m, k, needed int
-	frontier        []int64   // per slot: doubled position of next unprobed entry
-	seen            [][]int64 // per element: probed doubled positions
+	fr              frontiers // per slot: doubled position of next unprobed entry
+	pos             []int64   // n×m arena: element e's probed positions are pos[e*m:][:cnt[e]]
+	cnt             []int32   // per element: number of probed positions
 	exactMed        []int64   // per element: exact doubled median, MaxInt64 if unknown
 	exactCount      int
 	probedDistinct  int
-	pending         []int         // probed, not yet exact or cleared
-	inPend          []bool        // membership in pending
-	cleared         []bool        // provably outside the top k
-	kSmall          *int64MaxHeap // k smallest exact medians (max-heap)
+	pending         []int       // probed, not yet exact or cleared
+	inPend          []bool      // membership in pending
+	cleared         []bool      // provably outside the top k
+	kSmall          pairMaxHeap // k smallest (exact median, element)
+	changed         bool        // certification must be re-evaluated
+	scratch         []int64
 }
+
+// seen returns e's probed positions: a multiset, which selection reorders in
+// place.
+func (c *medrankCore) seen(e int) []int64 { return c.pos[e*c.m : e*c.m+int(c.cnt[e])] }
 
 // seenIn reports whether slot li has yielded element e.
 func (c *medrankCore) seenIn(li, e int) bool { return c.sv.has(c.sv.aliveIdx[li], e) }
+
+// setFrontier moves slot li's frontier, flagging a re-certification when its
+// value changes.
+func (c *medrankCore) setFrontier(li int, v int64) {
+	if c.fr.set(li, v) {
+		c.changed = true
+	}
+}
 
 // promote records e's exact median.
 func (c *medrankCore) promote(e int, med int64) {
 	c.exactMed[e] = med
 	c.exactCount++
-	if c.k > 0 {
-		heap.Push(c.kSmall, med)
-		if c.kSmall.Len() > c.k {
-			heap.Pop(c.kSmall)
+	c.changed = true
+	c.kSmall.offer(pair{med, e}, c.k)
+}
+
+// observe stores one revealed position of element e.
+func (c *medrankCore) observe(e int, pos2 int64) {
+	if c.cnt[e] == 0 {
+		c.probedDistinct++
+		if c.probedDistinct == c.n {
+			c.changed = true // the unseen bound no longer applies
 		}
 	}
+	c.pos[e*c.m+int(c.cnt[e])] = pos2
+	c.cnt[e]++
 }
 
 // add registers one revealed entry, probed now or replayed after a list
 // death under the frontiers of the moment.
 func (c *medrankCore) add(e Entry) {
-	if len(c.seen[e.Elem]) == 0 {
-		c.probedDistinct++
-	}
-	c.seen[e.Elem] = append(c.seen[e.Elem], e.Pos2)
+	c.observe(e.Elem, e.Pos2)
 	if c.exactMed[e.Elem] != math.MaxInt64 || c.cleared[e.Elem] {
 		return
 	}
@@ -255,26 +276,33 @@ func (c *medrankCore) add(e Entry) {
 	}
 }
 
+// certified reports whether the top k is certified, re-evaluating only after
+// an event that can certify it (see the type comment).
 func (c *medrankCore) certified() bool {
 	if c.k == 0 {
 		return true
 	}
+	if !c.changed {
+		return false // nothing that can certify happened since the last failed test
+	}
+	ok := c.evaluate()
+	c.changed = ok // a failed test waits for the next event
+	return ok
+}
+
+// evaluate runs the certification test.
+func (c *medrankCore) evaluate() bool {
 	if c.exactCount < c.k {
 		return false
 	}
-	kth := c.kSmall.Peek()
-	if c.probedDistinct < c.n && c.unseenLB() <= kth {
+	kth := c.kSmall[0].v
+	if c.probedDistinct < c.n && c.fr.unseenBound() <= kth {
 		return false
 	}
 	// Examine pending elements; compact out the ones that are promoted,
 	// already exact, or cleared. Bail out at the first genuine blocker.
 	keep := c.pending[:0]
-	blocked := false
 	for idx, e := range c.pending {
-		if blocked {
-			keep = append(keep, c.pending[idx:]...)
-			break
-		}
 		if c.exactMed[e] != math.MaxInt64 || c.cleared[e] {
 			c.inPend[e] = false
 			continue
@@ -288,15 +316,18 @@ func (c *medrankCore) certified() bool {
 			c.promote(e, med)
 			c.inPend[e] = false
 			// Promotion can only shrink kth, so prior clearances stand.
-			kth = c.kSmall.Peek()
+			kth = c.kSmall[0].v
 			continue
 		}
-		// e genuinely blocks certification; keep it and everything after.
-		keep = append(keep, e)
-		blocked = true
+		// e genuinely blocks certification; keep it and everything after,
+		// moving the tail only when something before e was dropped.
+		if len(keep) < idx {
+			c.pending = append(keep, c.pending[idx:]...)
+		}
+		return false
 	}
 	c.pending = keep
-	return !blocked
+	return true
 }
 
 // finalize promotes every remaining element once all surviving lists are
@@ -311,8 +342,8 @@ func (c *medrankCore) finalize() {
 		if c.exactMed[e] != math.MaxInt64 {
 			continue
 		}
-		if len(c.seen[e]) >= c.needed {
-			c.promote(e, kthSmallest(c.seen[e], c.needed))
+		if s := c.seen(e); len(s) >= c.needed {
+			c.promote(e, nthSmallest(s, c.needed))
 		} else {
 			c.promote(e, math.MaxInt64-1)
 		}
@@ -322,16 +353,16 @@ func (c *medrankCore) finalize() {
 
 // tryExact reports the exact median of e if certifiable now.
 func (c *medrankCore) tryExact(e int) (int64, bool) {
-	s := c.seen[e]
+	s := c.seen(e)
 	if len(s) < c.needed {
 		return 0, false
 	}
-	med := kthSmallest(s, c.needed)
+	med := nthSmallest(s, c.needed)
 	if len(s) == c.m {
 		return med, true
 	}
-	for i := range c.frontier {
-		if c.frontier[i] < med && !c.seenIn(i, e) {
+	for i, f := range c.fr.pos {
+		if f < med && !c.seenIn(i, e) {
 			return 0, false
 		}
 	}
@@ -341,21 +372,15 @@ func (c *medrankCore) tryExact(e int) (int64, bool) {
 // medianLB returns a lower bound on e's median: the needed-th smallest of
 // its seen positions merged with the frontiers of its unseen lists.
 func (c *medrankCore) medianLB(e int) int64 {
-	s := c.seen[e]
-	all := make([]int64, 0, c.m)
-	all = append(all, s...)
+	s := c.seen(e)
+	all := append(c.scratch[:0], s...)
 	if len(s) < c.m {
-		for i := range c.frontier {
+		for i, f := range c.fr.pos {
 			if !c.seenIn(i, e) {
-				all = append(all, c.frontier[i])
+				all = append(all, f)
 			}
 		}
 	}
-	return kthSmallest(all, c.needed)
-}
-
-// unseenLB returns the median lower bound shared by all never-probed
-// elements: the needed-th smallest frontier.
-func (c *medrankCore) unseenLB() int64 {
-	return kthSmallest(c.frontier, c.needed)
+	c.scratch = all
+	return nthSmallest(all, c.needed)
 }

@@ -1,11 +1,11 @@
 package topk
 
 import (
-	"container/heap"
+	"cmp"
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/faults"
 	"repro/internal/ranking"
@@ -37,60 +37,42 @@ import (
 // (math.MaxInt64 - 1) used for under-observed elements on degraded runs.
 const nraInf = int64(math.MaxInt64)
 
-// lexLT orders (value, element) pairs lexicographically — the tie-break every
-// engine in this package uses. Strict interval domination under this order is
-// what makes NRA's certified set identical to the exact engines': if
-// (worst(w), w) < (best(z), z) then (median(w), w) < (median(z), z), because
-// median(w) <= worst(w) and best(z) <= median(z), and at equal bounds the
-// element IDs decide exactly as they do in the exact answer.
-func lexLT(v1 int64, e1 int, v2 int64, e2 int) bool {
-	return v1 < v2 || (v1 == v2 && e1 < e2)
-}
-
-// pair is an (value, element) pair ordered by lexLT.
-type pair struct {
-	v int64
-	e int
-}
-
-// pairMaxHeap is a max-heap of pairs under lexLT; the root is the largest
-// tracked pair. It tracks the k lexicographically smallest worst-case bounds,
-// whose root is the domination bar.
-type pairMaxHeap []pair
-
-func (h pairMaxHeap) Len() int            { return len(h) }
-func (h pairMaxHeap) Less(i, j int) bool  { return lexLT(h[j].v, h[j].e, h[i].v, h[i].e) }
-func (h pairMaxHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *pairMaxHeap) Push(x interface{}) { *h = append(*h, x.(pair)) }
-func (h *pairMaxHeap) Pop() interface{} {
-	old := *h
-	v := old[len(old)-1]
-	*h = old[:len(old)-1]
-	return v
-}
-
 // nraCore is the interval-certification state shared by NRA and CA. Like
 // medrankCore it sees lists only through frontier positions and the
 // survivors' revealed-element bitmaps, so the driver can rebuild a fresh core
 // over the survivors after a list death and replay the logs.
 //
-// Monotonicity makes bounded buffers sound: a candidate's worst-case bound
+// Monotonicity makes clearing sound: a candidate's worst-case bound
 // only shrinks as positions arrive, its best-case bound only grows (frontiers
 // advance, and an observed position is at least the frontier it replaces), so
 // the domination bar only shrinks. Once a candidate's best case clears the
-// bar it can never re-enter the race and its position buffer is freed.
+// bar it can never re-enter the race.
+//
+// A candidate's worst case, worst2, is the certified upper bound on its
+// doubled median: the needed-th smallest observed position, nraInf until
+// `needed` positions are known (missing positions could be arbitrarily
+// deep). It changes only when the candidate gains a position, so it is kept
+// per element and updated then, instead of being re-selected for every live
+// candidate on every check.
 type nraCore struct {
 	sv              *survivors
 	n, m, k, needed int
-	frontier        []int64   // per slot: doubled position of next unprobed entry
-	seen            [][]int64 // per element: known doubled positions (nil once cleared)
-	probed          []bool    // per element: ever had a position recorded
+	fr              frontiers // per slot: doubled position of next unprobed entry
+	pos             []int64   // n×m arena: element e's known positions are pos[e*m:][:cnt[e]]
+	cnt             []int32   // per element: number of known positions (> 0: probed)
+	worst           []int64   // per element: worst2, kept current for live candidates
 	probedDistinct  int
-	minUnprobed     int    // smallest never-probed element ID
-	cleared         []bool // provably outside the top k
-	live            []int  // probed, not cleared (compacted on checks)
-	bufferPeak      int    // peak number of simultaneously held candidate buffers
+	minUnprobed     int         // smallest never-probed element ID
+	cleared         []bool      // provably outside the top k
+	live            []int       // probed, not cleared (compacted on checks)
+	bufferPeak      int         // peak number of simultaneously live candidates
+	bar             pairMaxHeap // the k smallest (worst2, id), rebuilt by each check
+	scratch         []int64
 }
+
+// seen returns e's known positions: a multiset, which selection reorders in
+// place.
+func (c *nraCore) seen(e int) []int64 { return c.pos[e*c.m : e*c.m+int(c.cnt[e])] }
 
 // knownIn reports whether slot li already holds element e's position.
 func (c *nraCore) knownIn(li, e int) bool { return c.sv.has(c.sv.aliveIdx[li], e) }
@@ -102,60 +84,39 @@ func (c *nraCore) knownIn(li, e int) bool { return c.sv.has(c.sv.aliveIdx[li], e
 // once: survivors.learn filters a sorted scan re-revealing a random-accessed
 // entry.
 func (c *nraCore) add(e int, pos2 int64) {
-	if !c.probed[e] {
-		c.probed[e] = true
+	c.pos[e*c.m+int(c.cnt[e])] = pos2
+	c.cnt[e]++
+	if c.cnt[e] == 1 {
 		c.probedDistinct++
-		for c.minUnprobed < c.n && c.probed[c.minUnprobed] {
+		for c.minUnprobed < c.n && c.cnt[c.minUnprobed] > 0 {
 			c.minUnprobed++
 		}
 		if !c.cleared[e] {
 			c.live = append(c.live, e)
-			if len(c.live) > c.bufferPeak {
-				c.bufferPeak = len(c.live)
-			}
+			c.bufferPeak = max(c.bufferPeak, len(c.live))
 		}
 	}
-	if c.cleared[e] {
-		return
+	if !c.cleared[e] && int(c.cnt[e]) >= c.needed {
+		c.worst[e] = nthSmallest(c.seen(e), c.needed)
 	}
-	c.seen[e] = append(c.seen[e], pos2)
-}
-
-// worst2 is the certified upper bound on e's doubled median: the needed-th
-// smallest observed position, nraInf until `needed` positions are known
-// (missing positions could be arbitrarily deep).
-func (c *nraCore) worst2(e int) int64 {
-	if len(c.seen[e]) < c.needed {
-		return nraInf
-	}
-	return kthSmallest(c.seen[e], c.needed)
 }
 
 // best2 is the certified lower bound on e's doubled median: the needed-th
 // smallest of its observed positions merged with the frontiers of the slots
 // where it is unknown (an unseen position is at least that list's frontier).
 func (c *nraCore) best2(e int) int64 {
-	s := c.seen[e]
+	s := c.seen(e)
 	if len(s) == c.m {
-		return kthSmallest(s, c.needed)
+		return c.worst[e]
 	}
-	all := make([]int64, 0, c.m)
-	all = append(all, s...)
-	for li := range c.frontier {
+	all := append(c.scratch[:0], s...)
+	for li, f := range c.fr.pos {
 		if !c.knownIn(li, e) {
-			all = append(all, c.frontier[li])
+			all = append(all, f)
 		}
 	}
-	return kthSmallest(all, c.needed)
-}
-
-// clear drops e from the race for good and frees its position buffer. Sound
-// by monotonicity (see the type comment); the survivor logs retain
-// the raw entries for replay after a list death, when the instance — and
-// hence every clearance — is recomputed from scratch.
-func (c *nraCore) clear(e int) {
-	c.cleared[e] = true
-	c.seen[e] = nil
+	c.scratch = all
+	return nthSmallest(all, c.needed)
 }
 
 // minIncompleteBest returns the live candidate with the lexicographically
@@ -165,7 +126,7 @@ func (c *nraCore) minIncompleteBest() int {
 	best := -1
 	var bestV int64
 	for _, e := range c.live {
-		if c.cleared[e] || len(c.seen[e]) == c.m {
+		if c.cleared[e] || int(c.cnt[e]) == c.m {
 			continue
 		}
 		if v := c.best2(e); best == -1 || lexLT(v, e, bestV, best) {
@@ -194,44 +155,34 @@ func (c *nraCore) check() (done bool, blocker int) {
 	c.live = keep
 
 	// The domination bar: the k-th lexicographically smallest (worst2, id).
-	var h pairMaxHeap
+	c.bar = c.bar[:0]
 	for _, e := range c.live {
-		w := c.worst2(e)
-		if w == nraInf {
-			continue
-		}
-		if h.Len() < c.k {
-			heap.Push(&h, pair{w, e})
-		} else if lexLT(w, e, h[0].v, h[0].e) {
-			h[0] = pair{w, e}
-			heap.Fix(&h, 0)
+		if w := c.worst[e]; w != nraInf {
+			c.bar.offer(pair{w, e}, c.k)
 		}
 	}
-	if h.Len() < c.k {
+	if len(c.bar) < c.k {
 		// Fewer than k closed worst-case bounds: no bar to dominate yet.
 		return false, c.minIncompleteBest()
 	}
-	barV, barID := h[0].v, h[0].e
+	barV, barID := c.bar[0].v, c.bar[0].e
 
 	// Never-probed elements share the bound (needed-th smallest frontier,
-	// smallest unprobed ID); checked first because it is O(m).
+	// smallest unprobed ID); checked first because it is O(1) while no
+	// frontier moves.
 	done = true
-	if c.probedDistinct < c.n {
-		u := kthSmallest(c.frontier, c.needed)
-		if !lexLT(barV, barID, u, c.minUnprobed) {
-			done = false
-		}
+	if c.probedDistinct < c.n && !lexLT(barV, barID, c.fr.unseenBound(), c.minUnprobed) {
+		done = false
 	}
 	var blockV int64
 	blocker = -1
 	for _, e := range c.live {
-		w := c.worst2(e)
-		if !lexLT(barV, barID, w, e) {
+		if !lexLT(barV, barID, c.worst[e], e) {
 			continue // member of the current top-k set
 		}
 		bv := c.best2(e)
 		if lexLT(barV, barID, bv, e) {
-			c.clear(e) // can never re-enter: best2 only grows, the bar only shrinks
+			c.cleared[e] = true // can never re-enter: best2 only grows, the bar only shrinks
 			continue
 		}
 		done = false
@@ -259,21 +210,20 @@ func (c *nraCore) finalTopK() (winners []int, medians2 []int64, intervals [][2]i
 		if c.cleared[e] {
 			continue
 		}
-		med := c.worst2(e)
+		med := c.worst[e]
 		if med == nraInf {
 			med = nraInf - 1 // bottom-of-order sentinel, ties broken by ID
 		}
 		cands = append(cands, cand{e, med, c.best2(e)})
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		a, b := cands[i], cands[j]
-		if a.med2 != b.med2 {
-			return a.med2 < b.med2
+	slices.SortFunc(cands, func(a, b cand) int {
+		if c := cmp.Compare(a.med2, b.med2); c != 0 {
+			return c
 		}
-		if a.lo2 != b.lo2 {
-			return a.lo2 < b.lo2
+		if c := cmp.Compare(a.lo2, b.lo2); c != 0 {
+			return c
 		}
-		return a.e < b.e
+		return cmp.Compare(a.e, b.e)
 	})
 	if len(cands) > c.k {
 		cands = cands[:c.k]
@@ -284,7 +234,7 @@ func (c *nraCore) finalTopK() (winners []int, medians2 []int64, intervals [][2]i
 	for _, cd := range cands {
 		winners = append(winners, cd.e)
 		medians2 = append(medians2, cd.med2)
-		hi := c.worst2(cd.e)
+		hi := c.worst[cd.e]
 		lo := cd.lo2
 		if lo > hi {
 			lo = hi
@@ -379,7 +329,7 @@ func caOver(ctx context.Context, sources []faults.Source, k, ratio int, acc *tel
 // sorted access only) and CA (ratio > 0: a random-access resolution every
 // ~ratio sorted rounds). Random-access lookups are logged alongside sorted
 // entries, since they are real knowledge the rebuilt core must not lose.
-// Rebuilding from scratch after a list death also re-derives every buffer
+// Rebuilding from scratch after a list death also re-derives every
 // clearance: a clearance proved against the old instance (all m lists) need
 // not hold against the survivor instance, so none of them are carried over.
 type caRun struct {
@@ -389,7 +339,7 @@ type caRun struct {
 	core       *nraCore
 	rrNext     int
 	sinceRA    int // sorted rounds since the last random-access resolution
-	bufferPeak int // max over replaced cores of the candidate-buffer peak
+	bufferPeak int // max over replaced cores of the live-candidate peak
 }
 
 // rebuild constructs a fresh certification core over the currently alive
@@ -402,14 +352,20 @@ func (f *caRun) rebuild() {
 	c := &nraCore{
 		sv: f.survivors,
 		n:  f.n, m: m, k: f.k,
-		needed:   (m + 1) / 2,
-		frontier: make([]int64, m),
-		seen:     make([][]int64, f.n),
-		probed:   make([]bool, f.n),
-		cleared:  make([]bool, f.n),
+		needed:  (m + 1) / 2,
+		fr:      newFrontiers(m, (m+1)/2),
+		pos:     make([]int64, f.n*m),
+		cnt:     make([]int32, f.n),
+		worst:   make([]int64, f.n),
+		cleared: make([]bool, f.n),
+		bar:     make(pairMaxHeap, 0, f.k),
+		scratch: make([]int64, 0, m),
+	}
+	for e := range c.worst {
+		c.worst[e] = nraInf
 	}
 	for li, orig := range f.aliveIdx {
-		c.frontier[li] = f.sources[orig].Peek2()
+		c.fr.pos[li] = f.sources[orig].Peek2()
 	}
 	f.replay(func(_ int, e Entry) { c.add(e.Elem, e.Pos2) })
 	f.core = c
@@ -466,7 +422,7 @@ func (f *caRun) round(ctx context.Context) (bool, error) {
 		}
 		li := f.rrNext
 		f.rrNext = (f.rrNext + 1) % len(f.aliveIdx)
-		if f.core.frontier[li] == math.MaxInt64 {
+		if f.core.fr.pos[li] == math.MaxInt64 {
 			continue
 		}
 		orig := f.aliveIdx[li]
@@ -478,7 +434,7 @@ func (f *caRun) round(ctx context.Context) (bool, error) {
 			return true, nil
 		}
 		if !ok {
-			f.core.frontier[li] = math.MaxInt64
+			f.core.fr.set(li, math.MaxInt64)
 			continue
 		}
 		f.acc.BucketIO(orig)
@@ -486,7 +442,7 @@ func (f *caRun) round(ctx context.Context) (bool, error) {
 		if f.learn(orig, e) {
 			f.core.add(e.Elem, e.Pos2)
 		}
-		f.core.frontier[li] = f.sources[orig].Peek2()
+		f.core.fr.set(li, f.sources[orig].Peek2())
 	}
 	return progressed, nil
 }

@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/faults"
 	"repro/internal/ranking"
@@ -239,7 +239,7 @@ func (s *survivors) degraded(rep telemetry.AccessReport, winners []int, pos func
 		Retried:          int(rep.Retried),
 		MedianIntervals2: make([][2]int64, len(winners)),
 	}
-	sort.Ints(d.Lost)
+	slices.Sort(d.Lost)
 	for _, li := range s.lost {
 		if li < len(rep.PerList) {
 			d.WastedSequential += int(rep.PerList[li])
@@ -262,8 +262,10 @@ func (s *survivors) degraded(rep telemetry.AccessReport, winners []int, pos func
 		}
 	}
 	j := (s.m + 1) / 2
+	known := make([]int64, 0, s.m)
+	bounded := make([]int64, 0, s.m)
 	for i, w := range winners {
-		var known, bounded []int64
+		known, bounded = known[:0], bounded[:0]
 		unknown := 0
 		for orig := 0; orig < s.m; orig++ {
 			if v, ok := pos(orig, w); ok {
@@ -277,11 +279,11 @@ func (s *survivors) degraded(rep telemetry.AccessReport, winners []int, pos func
 		bounded = append(bounded, known...)
 		lo := int64(0)
 		if j-unknown >= 1 {
-			lo = kthSmallest(bounded, j-unknown)
+			lo = nthSmallest(bounded, j-unknown)
 		}
 		hi := int64(math.MaxInt64)
 		if len(known) >= j {
-			hi = kthSmallest(known, j)
+			hi = nthSmallest(known, j)
 		}
 		d.MedianIntervals2[i] = [2]int64{lo, hi}
 	}

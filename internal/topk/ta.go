@@ -1,11 +1,9 @@
 package topk
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"math"
-	"slices"
 
 	"repro/internal/faults"
 	"repro/internal/ranking"
@@ -122,13 +120,15 @@ func taOver(ctx context.Context, sources []faults.Source, k int, theta float64, 
 		survivors: sv,
 		theta:     theta,
 		cert:      ApproxCertificate{Theta: theta, Ratio: 1},
-		needed:    (sv.m + 1) / 2,
-		frontier:  make([]int64, sv.m),
+		fr:        newFrontiers(sv.m, (sv.m+1)/2),
 		rowOf:     make([]int, sv.n),
+		rows:      make([]int64, 0, sv.n*sv.m),
 		med:       make([]int64, sv.n),
+		kSmall:    make(pairMaxHeap, 0, k),
+		scratch:   make([]int64, 0, sv.m),
 	}
 	for i, s := range sources {
-		t.frontier[i] = s.Peek2()
+		t.fr.pos[i] = s.Peek2()
 	}
 	for e := range t.med {
 		t.rowOf[e] = -1
@@ -172,12 +172,11 @@ type taRun struct {
 	*survivors
 	theta    float64
 	cert     ApproxCertificate
-	needed   int     // (alive+1)/2, the survivor median index
-	frontier []int64 // per original list; dead and exhausted lists sit at MaxInt64
-	rowOf    []int   // per element: its row in rows, -1 while unresolved
-	rows     []int64 // m positions per resolved element, MaxInt64 = unknown
-	med      []int64 // per element: lower median over the alive lists
-	kSmall   int64MaxHeap
+	fr       frontiers   // per original list, dead and exhausted lists at MaxInt64; needed is the survivor median index
+	rowOf    []int       // per element: its row in rows, -1 while unresolved
+	rows     []int64     // m positions per resolved element, MaxInt64 = unknown
+	med      []int64     // per element: lower median over the alive lists
+	kSmall   pairMaxHeap // k smallest (median, element)
 	resolved int
 	rrNext   int
 	scratch  []int64
@@ -204,7 +203,7 @@ func (t *taRun) drive(ctx context.Context) error {
 		for tries := 0; tries < t.m; tries++ {
 			c := t.rrNext
 			t.rrNext = (t.rrNext + 1) % t.m
-			if t.alive[c] && t.frontier[c] < math.MaxInt64 {
+			if t.alive[c] && t.fr.pos[c] < math.MaxInt64 {
 				i = c
 				break
 			}
@@ -217,17 +216,17 @@ func (t *taRun) drive(ctx context.Context) error {
 		}
 		e, ok, err := t.sources[i].Next(ctx)
 		if err != nil {
-			t.frontier[i] = math.MaxInt64
+			t.fr.set(i, math.MaxInt64)
 			if err := t.kill(i, err, t.recompute); err != nil {
 				return err
 			}
 			continue
 		}
 		if !ok {
-			t.frontier[i] = math.MaxInt64
+			t.fr.set(i, math.MaxInt64)
 			continue
 		}
-		t.frontier[i] = t.sources[i].Peek2()
+		t.fr.set(i, t.sources[i].Peek2())
 		if t.med[e.Elem] != math.MaxInt64 {
 			continue // already resolved via random access
 		}
@@ -241,10 +240,10 @@ func (t *taRun) drive(ctx context.Context) error {
 // stop runs the stopping tests against τ, the needed-th smallest frontier: a
 // lower bound on the doubled median of any element the run has not resolved
 // (dead and exhausted lists sit at MaxInt64, so this is the needed-th
-// smallest alive frontier).
+// smallest alive frontier). τ is cached until a frontier moves.
 func (t *taRun) stop() bool {
-	tau := t.kth(t.frontier)
-	kth := t.kSmall.Peek()
+	tau := t.fr.unseenBound()
+	kth := t.kSmall[0].v
 	// Threshold test: with k exact medians strictly below the best median any
 	// unseen element could achieve, the answer is final (strictness sidesteps
 	// ties, which break by element ID).
@@ -272,8 +271,9 @@ func (t *taRun) stop() bool {
 // mid-resolution is killed and the resolution continues over the rest.
 func (t *taRun) resolve(ctx context.Context, elem, seedList int, seedPos2 int64) error {
 	base := len(t.rows)
-	for j := 0; j < t.m; j++ {
-		t.rows = append(t.rows, math.MaxInt64)
+	t.rows = t.rows[:base+t.m]
+	for j := base; j < len(t.rows); j++ {
+		t.rows[j] = math.MaxInt64
 	}
 	if seedList >= 0 {
 		t.rows[base+seedList] = seedPos2
@@ -284,7 +284,7 @@ func (t *taRun) resolve(ctx context.Context, elem, seedList int, seedPos2 int64)
 		}
 		v, err := t.sources[j].Pos2(ctx, elem)
 		if err != nil {
-			t.frontier[j] = math.MaxInt64
+			t.fr.set(j, math.MaxInt64)
 			if err := t.kill(j, err, t.recompute); err != nil {
 				return err
 			}
@@ -325,20 +325,8 @@ func (t *taRun) track(e int) {
 		}
 	}
 	t.scratch = vals
-	slices.Sort(vals)
-	t.med[e] = vals[t.needed-1]
-	heap.Push(&t.kSmall, t.med[e])
-	if t.kSmall.Len() > t.k {
-		heap.Pop(&t.kSmall)
-	}
-}
-
-// kth returns the needed-th smallest of xs, sorting a copy in the scratch
-// buffer.
-func (t *taRun) kth(xs []int64) int64 {
-	t.scratch = append(t.scratch[:0], xs...)
-	slices.Sort(t.scratch)
-	return t.scratch[t.needed-1]
+	t.med[e] = nthSmallest(vals, t.fr.needed)
+	t.kSmall.offer(pair{t.med[e], e}, t.k)
 }
 
 // recompute follows a list death: it recomputes every resolved median over
@@ -346,7 +334,7 @@ func (t *taRun) kth(xs []int64) int64 {
 // its true position in every list that was alive at resolution time, a
 // superset of the lists alive now.
 func (t *taRun) recompute() {
-	t.needed = (len(t.aliveIdx) + 1) / 2
+	t.fr.setNeeded((len(t.aliveIdx) + 1) / 2)
 	t.kSmall = t.kSmall[:0]
 	for e, r := range t.rowOf {
 		if r >= 0 {

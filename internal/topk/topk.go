@@ -21,12 +21,24 @@
 // a certification core is rebuilt from after a death, the Degraded
 // certificate, and Result assembly. Run dispatches a Spec to the engines;
 // ParseAlgo is the one place an engine name is parsed.
+//
+// The stopping tests are re-evaluated only when an input to them changed,
+// and the skip is exact. MEDRANK's certification can turn true only after a
+// frontier value changes, a median is promoted, or the last never-probed
+// element is probed. A probe at an unchanged frontier reveals its element
+// at exactly that frontier: the element's seen positions and unseen
+// frontiers form the same multiset as before, so no median lower bound
+// moves, and the probe can only add a blocker or promote. The needed-th
+// smallest frontier (MEDRANK's unseen bound, TA's τ, NRA/CA's u) is cached
+// until a frontier value changes; a list death rebuilds every cache. The
+// order statistics select in place over per-run scratch (select.go), so a
+// run allocates nothing per access.
 package topk
 
 import (
+	"cmp"
 	"math"
 	"slices"
-	"sort"
 
 	"repro/internal/faults"
 	"repro/internal/ranking"
@@ -181,30 +193,11 @@ type Result struct {
 	// bounds. The hi endpoint is MaxInt64-1 (the bottom-of-order sentinel)
 	// for under-observed winners of degraded runs.
 	Intervals2 [][2]int64
-	// BufferPeak is the peak number of simultaneously held candidate position
-	// buffers on NRA/CA runs — the engine's working-set bound, which interval
-	// clearing keeps below n. Zero on other engines.
+	// BufferPeak is the peak number of simultaneously live candidates
+	// (probed, not yet cleared) on NRA/CA runs — the engine's working set,
+	// which interval clearing keeps below n. Zero on other engines.
 	BufferPeak int
 }
-
-// int64MaxHeap is a max-heap of int64 used to track the k smallest exact
-// medians (the root is the current k-th smallest).
-type int64MaxHeap []int64
-
-func (h int64MaxHeap) Len() int            { return len(h) }
-func (h int64MaxHeap) Less(i, j int) bool  { return h[i] > h[j] }
-func (h int64MaxHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *int64MaxHeap) Push(x interface{}) { *h = append(*h, x.(int64)) }
-func (h *int64MaxHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	v := old[n-1]
-	*h = old[:n-1]
-	return v
-}
-
-// Peek returns the root (the largest tracked value).
-func (h *int64MaxHeap) Peek() int64 { return (*h)[0] }
 
 // FullScanCost returns the access cost of the naive approach that reads
 // every list completely: n entries per list.
@@ -238,25 +231,20 @@ func CertificateLowerBoundCost(rankings []*ranking.PartialRanking, winners []int
 	m := len(rankings)
 	needed := (m + 1) / 2
 	best := 0
+	costs := make([]int, 0, m)
 	for _, w := range winners {
-		costs := make([]int, 0, m)
+		costs = costs[:0]
 		for _, r := range rankings {
 			if w < 0 || w >= r.N() {
 				continue // absent from this list: unobservable at any price
 			}
-			// Entries strictly before w's bucket, plus the probe that
-			// reveals w itself.
-			depth := 1
-			for b := 0; b < r.BucketOf(w); b++ {
-				depth += r.BucketSize(b)
-			}
-			c := cs * depth
+			c := cs * scanDepth(r, r.BucketOf(w))
 			if cr > 0 && cr < c {
 				c = cr
 			}
 			costs = append(costs, c)
 		}
-		sort.Ints(costs)
+		slices.Sort(costs)
 		total := 0
 		for i := 0; i < needed && i < len(costs); i++ {
 			total += costs[i]
@@ -268,40 +256,34 @@ func CertificateLowerBoundCost(rankings []*ranking.PartialRanking, winners []int
 	return best
 }
 
-// kthSmallest returns the k-th smallest (1-based) of xs without modifying
-// it. k must be in [1, len(xs)].
-func kthSmallest(xs []int64, k int) int64 {
-	cp := append([]int64(nil), xs...)
-	slices.Sort(cp)
-	return cp[k-1]
+// scanDepth is the number of sequential accesses that reveal an element of
+// bucket b: the entries strictly before b plus the probe that reveals the
+// element itself. A bucket of size z after s entries sits at doubled
+// position 2s+z+1, so the depth s+1 is read off it in O(1).
+func scanDepth(r *ranking.PartialRanking, b int) int {
+	return int(r.BucketPos2(b)-int64(r.BucketSize(b))+1) / 2
 }
 
 // selectTopK ranks the elements with a known median (med < MaxInt64) by
-// (median, element ID) and returns the first k with their doubled medians.
+// (median, element ID) and returns the first k with their doubled medians:
+// a bounded heap keeps the k smallest, and only those are sorted.
 func selectTopK(med []int64, k int) (winners []int, medians2 []int64) {
-	type cand struct {
-		e    int
-		med2 int64
-	}
-	cands := make([]cand, 0, len(med))
+	top := make(pairMaxHeap, 0, k)
 	for e, v := range med {
 		if v < math.MaxInt64 {
-			cands = append(cands, cand{e, v})
+			top.offer(pair{v, e}, k)
 		}
 	}
-	sort.Slice(cands, func(a, b int) bool {
-		if cands[a].med2 != cands[b].med2 {
-			return cands[a].med2 < cands[b].med2
+	slices.SortFunc(top, func(a, b pair) int {
+		if c := cmp.Compare(a.v, b.v); c != 0 {
+			return c
 		}
-		return cands[a].e < cands[b].e
+		return cmp.Compare(a.e, b.e)
 	})
-	if len(cands) > k {
-		cands = cands[:k]
-	}
-	winners = make([]int, 0, len(cands))
-	for _, c := range cands {
-		winners = append(winners, c.e)
-		medians2 = append(medians2, c.med2)
+	winners = make([]int, 0, len(top))
+	for _, p := range top {
+		winners = append(winners, p.e)
+		medians2 = append(medians2, p.v)
 	}
 	return winners, medians2
 }
