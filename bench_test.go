@@ -8,6 +8,13 @@ package rankties
 // BenchmarkExperimentEx reports the wall-clock cost of regenerating the
 // corresponding table in EXPERIMENTS.md; the table contents themselves are
 // printed by cmd/experiments.
+//
+// Every microbenchmark is defined once, under go test -bench: the facade's
+// kernels here, the rest in the bench_test.go of the package they measure
+// (the fault-path engines in internal/topk, the duplicate-heavy cache
+// sweeps in internal/metrics and internal/aggregate). The BENCH_PR*.json
+// artifacts are the historical record of one-sample runs; end-to-end claims
+// come from perfbench.
 
 import (
 	"fmt"
@@ -109,8 +116,7 @@ func BenchmarkFHaus(b *testing.B) {
 //
 // Each pair compares the retained pre-workspace engine ("alloc") against the
 // zero-allocation workspace kernel ("workspace") on the same inputs. Run
-// with -benchmem; cmd/benchjson emits the same measurements as
-// BENCH_PR1.json.
+// with -benchmem; BENCH_PR1.json recorded the first such comparison.
 
 func BenchmarkCountPairsKernel(b *testing.B) {
 	a, c := benchPair(1000, 6)

@@ -1,5 +1,5 @@
 // Command rankload drives a live rankserve with heavy concurrent traffic and
-// writes a latency/throughput artifact (BENCH_PR6.json) in the benchjson
+// writes a latency/throughput artifact (BENCH_PR6.json) in the BENCH_PR*.json
 // tradition: env-stamped, diffable, one record per endpoint.
 //
 // The workload is synthetic but shaped like real traffic: each tenant's

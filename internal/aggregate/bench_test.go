@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/cache"
+	"repro/internal/metrics"
 	"repro/internal/randrank"
 	"repro/internal/ranking"
 )
@@ -101,6 +103,40 @@ func BenchmarkKemenyOptimalDP(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, _, err := KemenyOptimalDP(in); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkBestOfInputsDup scores every input as the candidate aggregate on
+// a duplicate-heavy ensemble (4 distinct n=200 voters cloned out to m=24):
+// the serial sweep, the parallel sweep, and the parallel sweep over a shared
+// distance cache, where clones share their fingerprints and so hit.
+func BenchmarkBestOfInputsDup(b *testing.B) {
+	in := dupEnsemble(rand.New(rand.NewSource(42)), 200, 4, 24)
+	ws := metrics.NewWorkspace()
+	cached := metrics.Cached(cache.New(0), metrics.CacheIDKProf, metrics.KProfWS)
+	for _, tc := range []struct {
+		name     string
+		d        metrics.DistanceWS
+		parallel bool
+	}{
+		{"serial", metrics.KProfWS, false},
+		{"parallel", metrics.KProfWS, true},
+		{"parallel_cached", cached, true},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var err error
+				if tc.parallel {
+					_, _, _, err = BestOfInputsParallel(in, tc.d)
+				} else {
+					_, _, _, err = BestOfInputsWith(ws, in, tc.d)
+				}
+				if err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -41,8 +41,8 @@ func TestSumDistanceParallelMatchesSerial(t *testing.T) {
 		{"fprof", metrics.FProfWS},
 		{"khaus", metrics.KHausWS},
 		{"fhaus", metrics.FHausWS},
-		{"kprof_cached", metrics.CachedKProf(cache.New(1024))},
-		{"fhaus_cached", metrics.CachedFHaus(cache.New(1024))},
+		{"kprof_cached", metrics.Cached(cache.New(1024), metrics.CacheIDKProf, metrics.KProfWS)},
+		{"fhaus_cached", metrics.Cached(cache.New(1024), metrics.CacheIDFHaus, metrics.FHausWS)},
 	}
 	for _, tc := range dists {
 		want, err := SumDistanceWith(ws, cand, in, tc.d)
@@ -68,7 +68,7 @@ func TestBestOfInputsParallelMatchesSerial(t *testing.T) {
 	defer metrics.PutWorkspace(ws)
 	for trial := 0; trial < 10; trial++ {
 		in := dupEnsemble(rng, 12, 4, 24)
-		for _, d := range []metrics.DistanceWS{metrics.KProfWS, metrics.CachedKProf(cache.New(1024))} {
+		for _, d := range []metrics.DistanceWS{metrics.KProfWS, metrics.Cached(cache.New(1024), metrics.CacheIDKProf, metrics.KProfWS)} {
 			wantIdx, wantR, wantObj, err := BestOfInputsWith(ws, in, d)
 			if err != nil {
 				t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/randrank"
 	"repro/internal/ranking"
 )
@@ -108,6 +109,36 @@ func BenchmarkCountPairsAblation(b *testing.B) {
 		b.Run(fmt.Sprintf("viaSort/maxBucket=%d", maxB), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := countPairsViaSort(a, c); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// dupWorkload is the distance cache's workload: 4 distinct n=200 voters
+// cloned out to m=24 rankings, so a matrix sweep probes 276 pairs of which
+// at most 10 are distinct.
+func dupWorkload() []*ranking.PartialRanking {
+	return dupHeavyEnsemble(rand.New(rand.NewSource(42)), 200, 4, 24)
+}
+
+// BenchmarkDistanceMatrixDup prices the distance cache on dupWorkload: the
+// kprof matrix computed by the kernel against the same matrix served from a
+// warm cache.
+func BenchmarkDistanceMatrixDup(b *testing.B) {
+	in := dupWorkload()
+	for _, tc := range []struct {
+		name string
+		d    DistanceWS
+	}{
+		{"uncached", KProfWS},
+		{"cached", Cached(cache.New(0), CacheIDKProf, KProfWS)},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := DistanceMatrixWith(in, tc.d); err != nil {
 					b.Fatal(err)
 				}
 			}

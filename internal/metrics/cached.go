@@ -41,11 +41,3 @@ func Cached(c *cache.Cache, id uint32, d DistanceWS) DistanceWS {
 		return v, nil
 	}
 }
-
-// CachedKProf, CachedFProf, CachedKHaus, and CachedFHaus bind the paper
-// metrics to their stable cache IDs — the drop-in cached counterparts of the
-// KProfWS-family adapters.
-func CachedKProf(c *cache.Cache) DistanceWS { return Cached(c, CacheIDKProf, KProfWS) }
-func CachedFProf(c *cache.Cache) DistanceWS { return Cached(c, CacheIDFProf, FProfWS) }
-func CachedKHaus(c *cache.Cache) DistanceWS { return Cached(c, CacheIDKHaus, KHausWS) }
-func CachedFHaus(c *cache.Cache) DistanceWS { return Cached(c, CacheIDFHaus, FHausWS) }

@@ -3,11 +3,14 @@ package metrics
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/cache"
 	"repro/internal/randrank"
 	"repro/internal/ranking"
+	"repro/internal/telemetry"
 )
 
 // dupHeavyEnsemble draws `distinct` Mallows voters and inflates them to m
@@ -32,13 +35,13 @@ func TestCachedMatrixMatchesUncached(t *testing.T) {
 	in := dupHeavyEnsemble(rng, 18, 4, 28)
 	cases := []struct {
 		name     string
+		id       uint32
 		uncached DistanceWS
-		cached   func(*cache.Cache) DistanceWS
 	}{
-		{"kprof", KProfWS, CachedKProf},
-		{"fprof", FProfWS, CachedFProf},
-		{"khaus", KHausWS, CachedKHaus},
-		{"fhaus", FHausWS, CachedFHaus},
+		{"kprof", CacheIDKProf, KProfWS},
+		{"fprof", CacheIDFProf, FProfWS},
+		{"khaus", CacheIDKHaus, KHausWS},
+		{"fhaus", CacheIDFHaus, FHausWS},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -47,7 +50,7 @@ func TestCachedMatrixMatchesUncached(t *testing.T) {
 				t.Fatal(err)
 			}
 			c := cache.New(4096)
-			d := tc.cached(c)
+			d := Cached(c, tc.id, tc.uncached)
 			for pass := 0; pass < 2; pass++ {
 				got, err := DistanceMatrixWith(in, d)
 				if err != nil {
@@ -80,7 +83,7 @@ func TestCachedMatrixMatchesUncached(t *testing.T) {
 func TestCachedSymmetricOrientation(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	c := cache.New(128)
-	d := CachedKProf(c)
+	d := Cached(c, CacheIDKProf, KProfWS)
 	ws := GetWorkspace()
 	defer PutWorkspace(ws)
 	for trial := 0; trial < 50; trial++ {
@@ -112,8 +115,8 @@ func TestCachedSymmetricOrientation(t *testing.T) {
 // Distinct metric IDs sharing one cache must never serve each other's values.
 func TestCachedMetricIDsIsolated(t *testing.T) {
 	c := cache.New(128)
-	kprof := CachedKProf(c)
-	fprof := CachedFProf(c)
+	kprof := Cached(c, CacheIDKProf, KProfWS)
+	fprof := Cached(c, CacheIDFProf, FProfWS)
 	ws := GetWorkspace()
 	defer PutWorkspace(ws)
 	a := ranking.MustFromOrder([]int{0, 1, 2, 3})
@@ -156,5 +159,53 @@ func TestCachedErrorNotMemoized(t *testing.T) {
 	fail = false
 	if v, err := d(ws, a, b); err != nil || v != 7 {
 		t.Errorf("recovered compute = %v, %v, want 7", v, err)
+	}
+}
+
+// TestCachedDupWorkload is the distance cache's gate on dupWorkload: a
+// cached kprof matrix sweep mostly hits (hit rate above one half), the
+// telemetry mirrors count exactly the cache's own hits and misses, and a
+// warm cached sweep runs at least twice as fast as the kernel's. The timing
+// takes the median ratio of interleaved uncached/cached sweeps.
+func TestCachedDupWorkload(t *testing.T) {
+	was := telemetry.Enabled()
+	telemetry.Enable()
+	defer func() {
+		if !was {
+			telemetry.Disable()
+		}
+	}()
+	telHits := telemetry.GetCounter("cache.distance.hits")
+	telMisses := telemetry.GetCounter("cache.distance.misses")
+	hits0, misses0 := telHits.Value(), telMisses.Value()
+
+	in := dupWorkload()
+	c := cache.New(0)
+	cached := Cached(c, CacheIDKProf, KProfWS)
+	sweep := func(d DistanceWS) time.Duration {
+		start := time.Now()
+		if _, err := DistanceMatrixWith(in, d); err != nil {
+			t.Fatal(err)
+		}
+		return time.Since(start)
+	}
+	sweep(cached) // warm the cache: every distinct pair misses once
+	const rounds = 9
+	speedups := make([]float64, rounds)
+	for i := range speedups {
+		speedups[i] = float64(sweep(KProfWS)) / float64(sweep(cached))
+	}
+	slices.Sort(speedups)
+
+	st := c.Stats()
+	t.Logf("cache %+v, hit rate %.4f, median speed-up %.1fx", st, st.HitRate(), speedups[rounds/2])
+	if st.Hits <= 0 || st.HitRate() <= 0.5 {
+		t.Errorf("hits %d, hit rate %.4f; want hits and a hit rate above 0.5", st.Hits, st.HitRate())
+	}
+	if h, m := telHits.Value()-hits0, telMisses.Value()-misses0; h != st.Hits || m != st.Misses {
+		t.Errorf("telemetry counted %d hits and %d misses, the cache %d and %d", h, m, st.Hits, st.Misses)
+	}
+	if speedups[rounds/2] < 2 {
+		t.Errorf("cached sweep only %.2fx faster than uncached, want >= 2x", speedups[rounds/2])
 	}
 }

@@ -149,7 +149,6 @@ type AccessSummary struct {
 type TopKResponse struct {
 	Winners  []string       `json:"winners"`
 	Medians  []float64      `json:"medians"`
-	TopK     string         `json:"topk"`
 	Access   AccessSummary  `json:"access"`
 	Degraded *topk.Degraded `json:"degraded,omitempty"`
 	Trim     *TrimSummary   `json:"trim,omitempty"`
@@ -586,20 +585,10 @@ func (s *Service) handleTopK(_ http.ResponseWriter, r *http.Request) (any, *apiE
 		}
 	}
 
-	actx, adm := telemetry.Start(r.Context(), "admission")
-	release, astate, apiErr := s.admitQuery(actx, t.name)
-	if astate.queued {
-		adm.SetAttr("queued", 1)
-		adm.SetAttr("queue_pos", int64(astate.queuePos))
-	}
+	release, apiErr := s.admitQuery(r.Context(), t.name)
 	if apiErr != nil {
-		_, shsp := telemetry.Start(actx, "overload.shed")
-		shsp.SetAttr("status", int64(apiErr.status))
-		shsp.End()
-		adm.End()
 		return nil, apiErr
 	}
-	adm.End()
 	defer release()
 
 	spec := topk.Spec{Algo: algo, K: req.K, CostRatio: req.CostRatio, Policy: topk.GlobalMerge}
@@ -745,7 +734,6 @@ func (s *Service) handleTopK(_ http.ResponseWriter, r *http.Request) (any, *apiE
 	resp := TopKResponse{
 		Winners:   make([]string, len(res.Winners)),
 		Medians:   make([]float64, len(res.Winners)),
-		TopK:      c.dom.Render(res.TopK),
 		Access:    access,
 		Degraded:  res.Degraded,
 		Trim:      trimSummary,
@@ -856,20 +844,10 @@ func (s *Service) handleAggregate(_ http.ResponseWriter, r *http.Request) (any, 
 	meta := metaFrom(r.Context())
 	d := t.cachedDistance(s.cache, id, base, meta)
 
-	actx, adm := telemetry.Start(r.Context(), "admission")
-	release, astate, admErr := s.admitQuery(actx, t.name)
-	if astate.queued {
-		adm.SetAttr("queued", 1)
-		adm.SetAttr("queue_pos", int64(astate.queuePos))
+	release, apiErr := s.admitQuery(r.Context(), t.name)
+	if apiErr != nil {
+		return nil, apiErr
 	}
-	if admErr != nil {
-		_, shsp := telemetry.Start(actx, "overload.shed")
-		shsp.SetAttr("status", int64(admErr.status))
-		shsp.End()
-		adm.End()
-		return nil, admErr
-	}
-	adm.End()
 	defer release()
 
 	start := time.Now()

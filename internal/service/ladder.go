@@ -69,15 +69,13 @@ func chooseLevel(remaining time.Duration, estNs float64, hasDeadline bool) strin
 	}
 }
 
-// staleKey identifies one cacheable topk answer. Theta is part of the key so
-// explicit-θ answers never masquerade as exact ones; the effective cost ratio
-// is too, because a CA answer's access summary (and its certified medians on
-// degraded runs) depends on how often random access was scheduled.
+// staleKey identifies one cacheable topk answer. Only exact answers are
+// stored, so θ is not part of the key. The effective cost ratio is, because
+// a CA answer's access summary (and its certified medians on degraded runs)
+// depends on how often random access was scheduled.
 type staleKey struct {
 	tenant, catalog, algo string
-	k                     int
-	theta                 float64
-	ratio                 int
+	k, ratio              int
 }
 
 // staleEntry is one stored answer with its birth time.

@@ -228,21 +228,33 @@ func (s *Service) Cache() *cache.Cache { return s.cache }
 
 // admitQuery runs a query request through the admission pipeline (tenant
 // token bucket, concurrency gate with bounded LIFO queue, deadline-aware
-// shedding, drain fast-fail) and converts a shed into a rendered apiError
-// with its Retry-After hint, charging the shed metrics on the way out.
-// On success release must be called exactly once.
-func (s *Service) admitQuery(ctx context.Context, tenantName string) (release func(), state admissionState, apiErr *apiError) {
+// shedding, drain fast-fail) under an "admission" span, which records the
+// queue position of a queued request. A shed becomes a rendered apiError
+// with its Retry-After hint, an "overload.shed" child span carrying the
+// status, and a charge to the shed metrics. On success release must be
+// called exactly once.
+func (s *Service) admitQuery(ctx context.Context, tenantName string) (release func(), apiErr *apiError) {
+	ctx, sp := telemetry.Start(ctx, "admission")
 	release, state, shed := s.adm.acquire(ctx, tenantName)
+	if state.queued {
+		sp.SetAttr("queued", 1)
+		sp.SetAttr("queue_pos", int64(state.queuePos))
+	}
 	if shed == nil {
-		return release, state, nil
+		sp.End()
+		return release, nil
 	}
 	s.mShed.With(tenantName, shed.reason).ForceInc()
 	if meta := metaFrom(ctx); meta != nil {
 		meta.shedReason = shed.reason
 	}
+	_, shsp := telemetry.Start(ctx, "overload.shed")
+	shsp.SetAttr("status", int64(shed.status))
+	shsp.End()
+	sp.End()
 	e := fail(shed.status, "query admission: %s", shed.msg)
 	e.retryAfter = shed.retryAfter
-	return nil, state, e
+	return nil, e
 }
 
 // tenantFor returns the named tenant, creating it if the tenant cap allows.

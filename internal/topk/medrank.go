@@ -123,8 +123,9 @@ func (r *medrankRun) pick() int {
 // drive loops probe-and-certify until the top k is certified over the
 // surviving lists, every survivor is exhausted, or the context ends.
 func (r *medrankRun) drive(ctx context.Context) error {
+	done := ctx.Done()
 	for !r.core.certified() {
-		if err := ctxErr(ctx); err != nil {
+		if err := ctxErr(ctx, done); err != nil {
 			return err
 		}
 		li := r.pick()

@@ -381,8 +381,9 @@ func (f *caRun) rebuild() {
 // rather than per probe: a per-probe check would cost O(candidates·m) per
 // entry consumed.
 func (f *caRun) drive(ctx context.Context) error {
+	done := ctx.Done()
 	for {
-		if err := ctxErr(ctx); err != nil {
+		if err := ctxErr(ctx, done); err != nil {
 			return err
 		}
 		done, blocker := f.core.check()

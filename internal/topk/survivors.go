@@ -56,14 +56,17 @@ var (
 	caEngine      = engine{"topk.ca", "ca", tCARuns, tCAProbes, tCARandom}
 )
 
-// ctxErr returns ctx.Err() once ctx is done. It is the engines' one
-// context-check policy: a non-blocking receive on the Done channel costs a
-// few nanoseconds, so every drive loop checks before every access, and a
-// cancellation or deadline aborts a run between two accesses. Accesses that
-// block (injected latency, retry backoff) watch ctx themselves.
-func ctxErr(ctx context.Context) error {
+// ctxErr returns ctx.Err() once done, ctx's Done channel, is closed. It is
+// the engines' one context-check policy. Each drive loop reads ctx.Done()
+// once per run, since every call walks the context chain (telemetry's span
+// and pprof-label layers, a server's request layers); a non-blocking receive
+// on the channel then costs a few nanoseconds, so the loop checks before
+// every access and a cancellation or deadline aborts a run between two
+// accesses. Accesses that block (injected latency, retry backoff) watch ctx
+// themselves.
+func ctxErr(ctx context.Context, done <-chan struct{}) error {
 	select {
-	case <-ctx.Done():
+	case <-done:
 		return ctx.Err()
 	default:
 		return nil

@@ -191,8 +191,9 @@ func (t *taRun) drive(ctx context.Context) error {
 	if t.k == 0 {
 		return nil
 	}
+	done := ctx.Done()
 	for t.resolved < t.n {
-		if err := ctxErr(ctx); err != nil {
+		if err := ctxErr(ctx, done); err != nil {
 			return err
 		}
 		if t.resolved >= t.k && t.stop() {
@@ -212,7 +213,7 @@ func (t *taRun) drive(ctx context.Context) error {
 			// Every survivor's scan has ended. Lists that merely truncated
 			// still answer random accesses, so resolve the undiscovered rest
 			// by identity.
-			return t.resolveRest(ctx)
+			return t.resolveRest(ctx, done)
 		}
 		e, ok, err := t.sources[i].Next(ctx)
 		if err != nil {
@@ -299,10 +300,10 @@ func (t *taRun) resolve(ctx context.Context, elem, seedList int, seedPos2 int64)
 }
 
 // resolveRest resolves, by random access, every element no sorted scan
-// revealed.
-func (t *taRun) resolveRest(ctx context.Context) error {
+// revealed; done is ctx.Done(), read once by drive.
+func (t *taRun) resolveRest(ctx context.Context, done <-chan struct{}) error {
 	for e := 0; e < t.n && t.resolved < t.n; e++ {
-		if err := ctxErr(ctx); err != nil {
+		if err := ctxErr(ctx, done); err != nil {
 			return err
 		}
 		if t.med[e] != math.MaxInt64 {
